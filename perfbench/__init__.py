@@ -1,0 +1,5 @@
+"""End-to-end benchmark of ``repro serve`` with a traced per-layer ledger.
+
+Run it as ``python3 perfbench/run.py --workload NAME --seed N --seconds S
+--trace 0|1`` from the repository root; see ``perfbench/README.md``.
+"""
