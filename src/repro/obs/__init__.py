@@ -3,10 +3,14 @@
 Zero-dependency and **off by default**: when no session is active every
 hook in the instrumented code degrades to a ``None`` check or a shared
 no-op context manager, so the explorers and checkers pay nothing
-measurable.  The hot loops additionally follow the "local accumulation"
-rule — they count into plain local integers and flush one batch of
-counters per run — so enabling a session does not slow the inner loops
-either.
+measurable.  With a session on, the loop-level search counters
+(exploration states, dedup and cache hits) still accumulate in local
+integers and flush once per run, but the per-step rule counters do
+not: :func:`repro.psna.thread.thread_steps` and
+:func:`repro.psna.machine.labeled_machine_steps` call
+``registry.inc`` for every step they enumerate.  That cost is paid
+wherever a session is active, including every job of the verification
+service, which runs each job inside one.
 
 Usage::
 

@@ -60,6 +60,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from fractions import Fraction
 from typing import Optional
 
 MONITOR_SCHEMA = "repro-monitor/1"
@@ -146,7 +147,8 @@ def check_unique_timestamps(memory) -> Optional[str]:
     for message in memory.messages:
         key = (message.loc, message.ts)
         if key in seen:
-            return f"duplicate timestamp {message.loc}@{message.ts}"
+            return (f"duplicate timestamp "
+                    f"{message.loc}@{Fraction(message.ts)}")
         seen.add(key)
     return None
 
@@ -158,14 +160,14 @@ def check_interval_disjoint(memory) -> Optional[str]:
         attach = getattr(message, "attach", None)
         if attach is None:
             continue
+        interval = f"({Fraction(attach)}, {Fraction(message.ts)}]"
         if not attach < message.ts:
-            return (f"empty RMW interval ({attach}, {message.ts}] at "
-                    f"{message.loc}")
+            return f"empty RMW interval {interval} at {message.loc}"
         for other in messages:
             if (other is not message and other.loc == message.loc
                     and attach < other.ts < message.ts):
-                return (f"message {other.loc}@{other.ts} inside RMW "
-                        f"interval ({attach}, {message.ts}]")
+                return (f"message {other.loc}@{Fraction(other.ts)} "
+                        f"inside RMW interval {interval}")
     return None
 
 
@@ -197,7 +199,7 @@ def check_view_in_memory(state) -> Optional[str]:
             return None
         for loc, ts in view.items:
             if (loc, ts) not in stamps:
-                return f"{loc}@{ts}"
+                return f"{loc}@{Fraction(ts)}"
         return None
 
     for index, thread in enumerate(state.threads):
@@ -637,8 +639,6 @@ def inject_violation(monitor: Monitor, invariant_id: str) -> dict:
 
 
 def _corrupt_memory_duplicate():
-    from fractions import Fraction
-
     from ..psna.memory import Memory, Message
 
     memory = Memory(frozenset({Message("x", Fraction(1), 0, None),
@@ -647,8 +647,6 @@ def _corrupt_memory_duplicate():
 
 
 def _corrupt_memory_interval():
-    from fractions import Fraction
-
     from ..psna.memory import Memory, Message
 
     memory = Memory(frozenset({
@@ -670,8 +668,6 @@ def _synthetic_state(view=None, promises=frozenset(), sc_view=None):
 
 
 def _corrupt_view_monotonic():
-    from fractions import Fraction
-
     from ..psna.view import View
 
     prev = _synthetic_state(view=View.of({"x": Fraction(0)}))
@@ -682,8 +678,6 @@ def _corrupt_view_monotonic():
 
 
 def _corrupt_view_in_memory():
-    from fractions import Fraction
-
     from ..psna.view import View
 
     state = _synthetic_state(view=View.of({"x": Fraction(5)}))
@@ -691,8 +685,6 @@ def _corrupt_view_in_memory():
 
 
 def _corrupt_promise_membership():
-    from fractions import Fraction
-
     from ..psna.memory import Message
 
     orphan = Message("x", Fraction(7), 1, None)
@@ -701,8 +693,6 @@ def _corrupt_promise_membership():
 
 
 def _corrupt_promise_shrink():
-    from fractions import Fraction
-
     from ..psna.memory import Message
 
     grown = Message("x", Fraction(3), 1, None)
@@ -713,8 +703,6 @@ def _corrupt_promise_shrink():
 
 def _stranded_promise_state():
     """A terminated thread still holding a promise: uncertifiable."""
-    from fractions import Fraction
-
     from ..lang.interp import WhileThread
     from ..lang.parser import parse
     from ..psna.machine import MachineState

@@ -117,16 +117,23 @@ def cert_digest(structural_key, fingerprint: str) -> Optional[str]:
 class CertStore:
     """One open handle on the on-disk store; see the module docstring.
 
-    ``get`` consults only the entries loaded at :meth:`open` time —
-    never this run's own pending writes — so a sweep's store hits are
-    identical whether its cases run serially or across ``--jobs``
-    workers (each worker opens the same on-disk snapshot).
+    Lookups follow a per-*run* snapshot rule.  A run starts when the
+    handle opens and again at every :meth:`end_run`; ``get`` consults
+    only the snapshot its run started with — the entries loaded from
+    disk plus the verdicts earlier runs of this handle queued — never
+    the current run's own pending writes.  A CLI invocation is one run,
+    so a sweep's store hits are identical whether its cases run
+    serially or across ``--jobs`` workers (each worker opens the same
+    on-disk snapshot).  The verification service makes every job one
+    run, so later jobs in the same process reuse earlier jobs' verdicts.
     """
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
         self.entries: dict[str, bool] = {}
         self.pending: dict[str, bool] = {}
+        #: The verdicts the current run queued (also in ``pending``).
+        self._run: dict[str, bool] = {}
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -207,8 +214,17 @@ class CertStore:
         if digest in self.entries or digest in self.pending:
             return False
         self.pending[digest] = verdict
+        self._run[digest] = verdict
         self.writes += 1
         return True
+
+    def end_run(self) -> None:
+        """End the current run and start the next: the verdicts this run
+        queued join the lookup snapshot.  They stay pending for the
+        close-time segment write.  Costs one insert per verdict the run
+        queued, whatever the store's size."""
+        self.entries.update(self._run)
+        self._run = {}
 
     def drain(self) -> dict:
         """Ship this handle's pending writes and counters (the spawn
@@ -216,6 +232,7 @@ class CertStore:
         shipped = {"entries": self.pending, "hits": self.hits,
                    "misses": self.misses, "writes": self.writes}
         self.pending = {}
+        self._run = {}
         self.hits = self.misses = self.writes = 0
         return shipped
 
@@ -242,10 +259,13 @@ class CertStore:
         if len(self._segments()) > COMPACT_SEGMENTS:
             self._compact()
         if self.hits or self.misses or self.writes or self.pending:
+            # Verdicts of ended runs sit in both dicts.
+            entries = len(self.entries) + sum(
+                1 for digest in self.pending if digest not in self.entries)
             self._history({"hits": self.hits, "misses": self.misses,
-                           "writes": self.writes,
-                           "entries": len(self.entries) + len(self.pending)})
+                           "writes": self.writes, "entries": entries})
         self.pending = {}
+        self._run = {}
 
     def _compact(self) -> None:
         segments = self._segments()
@@ -318,6 +338,7 @@ class CertStore:
                 pass
         self.entries = {}
         self.pending = {}
+        self._run = {}
         self._history({"event": "clear", "removed": removed})
         return removed
 

@@ -4,9 +4,8 @@ The object-path canonicalization in :mod:`repro.psna.machine`
 (:func:`~repro.psna.machine._canonical_key`,
 :func:`~repro.psna.machine.certification_key`) builds nested tuples of
 strings, rank ints, and view tuples for every state.  Hashing those
-object graphs — and in particular hashing ``fractions.Fraction``
-timestamps inside the rank tables — dominates exploration time on
-dedup-heavy workloads.
+object graphs — and the timestamp-keyed rank tables behind them —
+dominates exploration time on dedup-heavy workloads.
 
 This module replaces the graphs with small integers: every canonical
 component (view, message, promise set, thread, memory, whole state)
@@ -14,9 +13,8 @@ becomes a flat tagged tuple whose children are *entry ids* — indices
 into an :class:`Interner` table — so a whole ``MachineState`` key is a
 single ``int`` and the exploration's ``seen`` set hashes machine-word
 integers.  Timestamp ranks are computed by bisection over per-location
-sorted stamp lists instead of a ``(loc, Fraction)``-keyed dict, which
-keeps ``Fraction.__hash__`` (a modular inverse) off the hot path
-entirely.
+sorted stamp lists instead of a ``(loc, timestamp)``-keyed dict, which
+keeps timestamp hashing off the hot path entirely.
 
 The table is bidirectional: :func:`decode_state` / :func:`decode_cert`
 reconstruct the exact structural key the object path would have

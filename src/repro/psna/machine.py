@@ -19,6 +19,7 @@ for fresh messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from time import perf_counter
@@ -28,7 +29,13 @@ from ..lang.ast import Stmt, walk
 from ..lang.ast import Rmw as RmwStmt
 from ..lang.ast import Store as StoreStmt
 from ..lang.interp import WhileThread
-from ..lang.itree import FenceAction, SyscallAction, ThreadState
+from ..lang.itree import (
+    ErrAction,
+    FenceAction,
+    RetAction,
+    SyscallAction,
+    ThreadState,
+)
 from ..lang.events import FenceKind
 from ..lang.values import Value
 from .certstore import CertStore, cert_digest, config_fingerprint
@@ -150,7 +157,7 @@ class CertCache:
                  encoded: bool = True) -> None:
         self.entries: dict[object, bool] = {}
         #: Cross-search memo of certification successor expansions:
-        #: ``(thread, memory.messages) -> ((thread', memory'), ...)``.
+        #: ``(thread, memory.messages) -> [(thread', memory'), ...]``.
         #: Distinct certification searches launched from neighbouring
         #: machine states revisit largely the same thread-local frontier
         #: (~4x redundancy on the litmus catalog); successor sets are a
@@ -181,6 +188,20 @@ class CertCache:
         structural = (decode_cert(key, self.interner)
                       if self.interner is not None else key)
         return cert_digest(structural, self.fingerprint)
+
+
+#: Thread states that take no further step: terminated or ⊥ (one
+#: ``peek`` answers both ``is_terminated`` and ``is_bottom``).
+_HALTED = (RetAction, ErrAction)
+
+
+@lru_cache(maxsize=32)
+def _certifying_config(config: PsConfig) -> PsConfig:
+    """The config certification searches run under, memoized per config
+    (``dataclasses.replace`` costs more than a cache miss's lookup)."""
+    return replace(config, certifying=True,
+                   allow_promises=config.cert_promises
+                   and config.allow_promises)
 
 
 def certifiable(thread: ThreadLts, memory: Memory, config: PsConfig,
@@ -236,41 +257,36 @@ def certifiable(thread: ThreadLts, memory: Memory, config: PsConfig,
                     return cached
                 if registry is not None:
                     registry.inc("psna.cert.store_misses")
-    cert_config = replace(config, certifying=True,
-                          allow_promises=config.cert_promises
-                          and config.allow_promises)
-    seen: set = set()
+    cert_config = _certifying_config(config)
+    # Successor expansions: the exploration's shared table, or one for
+    # this search alone.  Every entry is a fresh list that the table
+    # keeps alive, so its ``id`` names its pair in ``visited`` and each
+    # iteration hashes the (thread, messages) pair once.
+    expansions = cache.steps if cache is not None else {}
+    visited: set[int] = set()
     stack: list[tuple[ThreadLts, Memory, int]] = [
         (thread, memory, config.cert_depth)]
     certified = False
-    steps_memo = cache.steps if cache is not None else None
     with obs.span("psna.cert"):
         while stack:
             current, mem, depth = stack.pop()
             if not current.promises:
                 certified = True
                 break
-            if depth == 0 or current.is_bottom() or current.is_terminated():
+            if depth == 0 or isinstance(current.program.peek(), _HALTED):
                 continue
-            seen_key = (current, mem.messages)
-            if seen_key in seen:
+            pair = (current, mem.messages)
+            succ = expansions.get(pair)
+            if succ is None:
+                succ = expansions[pair] = [
+                    (step.thread, step.memory)
+                    for step in thread_steps(current, mem, cert_config)
+                    if not step.thread.is_bottom()]  # UB does not certify
+            elif id(succ) in visited:
                 continue
-            seen.add(seen_key)
-            if steps_memo is not None:
-                succ = steps_memo.get(seen_key)
-                if succ is None:
-                    succ = tuple(
-                        (step.thread, step.memory)
-                        for step in thread_steps(current, mem, cert_config)
-                        if not step.thread.is_bottom())  # UB does not certify
-                    steps_memo[seen_key] = succ
-                for nxt, nxt_mem in succ:
-                    stack.append((nxt, nxt_mem, depth - 1))
-            else:
-                for step in thread_steps(current, mem, cert_config):
-                    if step.thread.is_bottom():
-                        continue  # UB does not certify
-                    stack.append((step.thread, step.memory, depth - 1))
+            visited.add(id(succ))
+            for nxt, nxt_mem in succ:
+                stack.append((nxt, nxt_mem, depth - 1))
     if cache is not None:
         cache.entries[key] = certified
         if store is not None and digest is not None \
@@ -281,7 +297,7 @@ def certifiable(thread: ThreadLts, memory: Memory, config: PsConfig,
     registry = obs.metrics()
     if registry is not None:
         registry.inc("psna.cert.attempts")
-        registry.inc("psna.cert.states", len(seen))
+        registry.inc("psna.cert.states", len(visited))
         registry.inc("rule.psna.cert.success" if certified
                      else "rule.psna.cert.failure")
         if not certified:

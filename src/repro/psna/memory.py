@@ -14,6 +14,7 @@ The initial memory holds ``⟨x@0, 0, ⊥⟩`` for every location.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from ..lang.values import Value
@@ -39,14 +40,15 @@ class Message:
 
     def __repr__(self) -> str:
         view = "⊥" if self.view is None else repr(self.view)
-        attach = f"({self.attach}," if self.attach is not None else ""
-        return f"⟨{self.loc}@{attach}{self.ts},{self.value},{view}⟩"
+        attach = (f"({Fraction(self.attach)},"
+                  if self.attach is not None else "")
+        return (f"⟨{self.loc}@{attach}{Fraction(self.ts)},{self.value},"
+                f"{view}⟩")
 
     def __hash__(self) -> int:
         # Messages live in frozensets that the certification search
-        # hashes constantly; Fraction timestamps make the generated
-        # dataclass hash expensive.  Cached on first use, dropped on
-        # pickling (string hashes are salted per process).
+        # hashes constantly.  Cached on first use, dropped on pickling
+        # (string hashes are salted per process).
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash((self.loc, self.ts, self.value, self.view,
@@ -72,7 +74,7 @@ class NAMessage:
         return None
 
     def __repr__(self) -> str:
-        return f"⟨{self.loc}@{self.ts}⟩na"
+        return f"⟨{self.loc}@{Fraction(self.ts)}⟩na"
 
     def __hash__(self) -> int:
         cached = self.__dict__.get("_hash")
@@ -103,12 +105,12 @@ class Memory:
 
     def add(self, message: AnyMessage) -> "Memory":
         if any(m.ts == message.ts for m in self.at(message.loc)):
-            raise ValueError(
-                f"timestamp collision at {message.loc}@{message.ts}")
+            raise ValueError(f"timestamp collision at "
+                             f"{message.loc}@{Fraction(message.ts)}")
         if self.blocked(message.loc, message.ts):
             raise ValueError(
-                f"timestamp {message.loc}@{message.ts} lies inside an "
-                f"RMW-occupied interval")
+                f"timestamp {message.loc}@{Fraction(message.ts)} lies "
+                f"inside an RMW-occupied interval")
         return Memory(self.messages | {message})
 
     def blocked(self, loc: str, ts: Time) -> bool:
@@ -128,9 +130,8 @@ class Memory:
         """Messages of ``loc`` sorted by timestamp.
 
         Memoized per (memory, location): the race helper and every read
-        / write rule re-scan the same immutable memory, and sorting
-        Fraction timestamps repeatedly dominated the stepper.  The
-        cache is process-local and dropped when pickling.
+        / write rule re-scan the same immutable memory.  The cache is
+        process-local and dropped when pickling.
         """
         cache = self.__dict__.get("_at")
         if cache is None:

@@ -1,10 +1,20 @@
 """Timestamps and views for PS^na (Fig 5).
 
-``Time = {0} ∪ Q+`` — we use :class:`fractions.Fraction` so fresh
-timestamps can always be inserted between existing ones.  A *view* maps
-locations to timestamps (default 0); the *bottom view* ⊥ (smaller than
-every view) annotates non-atomic messages and is represented by ``None``
-in message fields, with :data:`BOT` as a convenience alias.
+``Time = {0} ∪ Q+``.  The machine only ever creates ``0``, ``low + 1``
+and ``(low + high) / 2`` (:func:`fresh_between`), so every timestamp is
+a dyadic rational, which a ``float`` holds exactly: timestamps are
+exact floats, compared and hashed natively.  Should a float result not
+land strictly inside its interval (about 50 nested bisections of one
+gap, or appends past 2**53), :func:`fresh_between` computes that one
+timestamp as a :class:`fractions.Fraction` instead; Python compares
+floats and Fractions exactly and hashes equal values equally, so the
+two mix freely.  Printed timestamps always go through ``Fraction`` so
+they read as rationals (``x@1/2``).
+
+A *view* maps locations to timestamps (default 0); the *bottom view* ⊥
+(smaller than every view) annotates non-atomic messages and is
+represented by ``None`` in message fields, with :data:`BOT` as a
+convenience alias.
 """
 
 from __future__ import annotations
@@ -13,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-Time = Fraction
+Time = float
 
-ZERO = Fraction(0)
+ZERO: Time = 0.0
 
 #: The bottom view ⊥ (as stored in message view fields).
 BOT: Optional["View"] = None
@@ -29,8 +39,6 @@ class View:
 
     @staticmethod
     def of(mapping: Mapping[str, Time]) -> "View":
-        # ``bool(ts)`` is ``ts != 0`` without Fraction's per-comparison
-        # numbers.Rational isinstance dance (a real cost at this rate).
         trimmed = {loc: ts for loc, ts in mapping.items() if ts}
         return View(tuple(sorted(trimmed.items())))
 
@@ -73,13 +81,13 @@ class View:
     def __repr__(self) -> str:
         if not self.items:
             return "⟨⟩"
-        return "⟨" + ", ".join(f"{loc}@{ts}" for loc, ts in self.items) + "⟩"
+        return "⟨" + ", ".join(f"{loc}@{Fraction(ts)}"
+                               for loc, ts in self.items) + "⟩"
 
     def __hash__(self) -> int:
-        # Views sit inside every message and thread state, and Fraction
-        # hashing is expensive (a modular inverse per timestamp) — cache
-        # the hash on first use.  Dropped on pickling (__getstate__):
-        # string hashes are salted per process.
+        # Views sit inside every message and thread state — cache the
+        # hash on first use.  Dropped on pickling (__getstate__): string
+        # hashes are salted per process.
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash(self.items)
@@ -108,8 +116,17 @@ def join_opt(a: Optional[View], b: Optional[View]) -> Optional[View]:
 
 
 def fresh_between(low: Time, high: Optional[Time]) -> Time:
-    """A timestamp strictly between ``low`` and ``high`` (or above ``low``)."""
+    """A timestamp strictly between ``low`` and ``high`` (or above ``low``).
+
+    Exact: when the float result would round onto an end of the interval,
+    this one timestamp is computed as a ``Fraction``.  Raises
+    ``ValueError`` on an empty interval (``low >= high``).
+    """
     if high is None:
-        return low + 1
-    assert low < high
-    return (low + high) / 2
+        ts = low + 1
+        return ts if ts > low else Fraction(low) + 1
+    if not low < high:
+        raise ValueError(f"no timestamp between {Fraction(low)} and "
+                         f"{Fraction(high)}")
+    ts = (low + high) / 2
+    return ts if low < ts < high else (Fraction(low) + Fraction(high)) / 2

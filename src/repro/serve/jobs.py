@@ -37,6 +37,7 @@ from typing import Callable, Optional
 from .. import runner
 from ..lang.parser import ParseError, parse
 from ..lang.pretty import to_source
+from ..psna import certstore
 from ..psna.semantics import SEMANTICS_VERSION
 
 #: Upper bound on one program argument's source text; anything larger is
@@ -283,8 +284,20 @@ _RUNNERS: dict[str, Callable[[dict], dict]] = {
 
 def serve_job_worker(canonical: dict) -> dict:
     """Execute one canonical job; module-level so the spawn pool can
-    pickle it by qualified name (the :mod:`repro.runner` discipline)."""
-    return _RUNNERS[canonical["kind"]](canonical)
+    pickle it by qualified name (the :mod:`repro.runner` discipline).
+
+    A job is one run of the process's cert store (see
+    :class:`repro.psna.certstore.CertStore`): the certification
+    verdicts it queued join the store's lookup snapshot when it ends,
+    so later jobs in this process — the service's own with ``--jobs
+    1``, or the same pool worker's — reuse them.
+    """
+    try:
+        return _RUNNERS[canonical["kind"]](canonical)
+    finally:
+        store = certstore.active()
+        if store is not None:
+            store.end_run()
 
 
 def describe(canonical: dict) -> str:

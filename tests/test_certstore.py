@@ -17,6 +17,7 @@ Four layers of guarantees:
 
 import json
 import os
+from hashlib import blake2b
 
 import pytest
 
@@ -132,6 +133,21 @@ class TestStoreRoundTrip:
         assert store.get(DIGEST) is None
         assert store.misses == 1
 
+    def test_end_run_promotes_this_runs_writes(self, tmp_path):
+        """The next run's snapshot holds the verdicts earlier runs
+        queued; they stay pending for the close-time segment write."""
+        store = CertStore(str(tmp_path))
+        store.put(DIGEST, True)
+        store.end_run()
+        assert store.get(DIGEST) is True
+        assert not store.put(DIGEST, True)
+        store.put(OTHER, False)
+        assert store.get(OTHER) is None  # the current run's own write
+        store.close()
+        assert store.read_history()[-1]["entries"] == 2
+        reopened = CertStore(str(tmp_path))
+        assert (reopened.get(DIGEST), reopened.get(OTHER)) == (True, False)
+
     def test_duplicate_put_is_dropped(self, tmp_path):
         store = CertStore(str(tmp_path))
         assert store.put(DIGEST, True)
@@ -191,6 +207,49 @@ class TestStoreRoundTrip:
         warm.close()
         runs = [r for r in warm.read_history() if "hits" in r]
         assert runs[-1]["hits"] == 1 and runs[-1]["misses"] == 1
+
+
+class TestDigestPins:
+    """The on-disk keys of LB's certification pairs, pinned literally.
+    A change to the key encoding would otherwise orphan every existing
+    store silently: lookups would just keep missing."""
+
+    #: The pairs that certify (verdict 1).
+    CERTIFIED = (
+        "0263580521d1a95b9016f203f84051ce",
+        "0983af8538167522d1f324dcb79c97d5",
+        "337c9652c1444685488728eab9acb593",
+        "41c212df10eaaf9ed4696167361e48cb",
+        "422c6637e3e4347360d4493407839e16",
+        "60bdffd1b7ec925d39de1961f93d6d6e",
+        "6d0fe89985973c8217d781dbc6ccacc3",
+        "7f25b9b13ada3cf587f117192526cb18",
+        "8e0f5ab4426fe4542113ad439c47b172",
+        "acfdb1f648205dcaa3135a12f9803ceb",
+        "b81bee3dd804431ffa4f81c05c0d96a4",
+        "cf7c294c03048cf80650a37eb65d5b63",
+        "fec9772f476b27db2d4138d623b5e59b",
+    )
+    #: BLAKE2b-128 of the segment body the exploration writes: all 139
+    #: ``<digest> <verdict>`` lines after the header.
+    SEGMENT_BODY = "b61d51538dd2cd63a4fee5ecfb2524eb"
+
+    def test_lb_certification_digests_are_stable(self, tmp_path):
+        store = certstore.bind(CertStore(str(tmp_path)))
+        try:
+            explore(lb_programs(), PsConfig(promise_budget=1))
+        finally:
+            certstore.unbind()
+        store.close()
+        [segment] = segment_paths(str(tmp_path))
+        with open(segment, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        assert lines[0] == f"{SEGMENT_HEADER} {SEMANTICS_VERSION}\n"
+        assert len(lines) == 1 + 139
+        assert tuple(line.split()[0] for line in lines[1:]
+                     if line.endswith(" 1\n")) == self.CERTIFIED
+        body = "".join(lines[1:]).encode("utf-8")
+        assert blake2b(body, digest_size=16).hexdigest() == self.SEGMENT_BODY
 
 
 class TestCorruption:

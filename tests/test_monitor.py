@@ -28,6 +28,9 @@ from repro.obs.monitor import (
     INVARIANTS,
     MONITOR_SCHEMA,
     Monitor,
+    check_interval_disjoint,
+    check_unique_timestamps,
+    check_view_in_memory,
     inject_violation,
     monitor_payload,
     parse_monitor_spec,
@@ -35,7 +38,17 @@ from repro.obs.monitor import (
     validate_monitor_payload,
     write_monitor_report,
 )
-from repro.psna import PsConfig, explore
+from repro.psna import (
+    MachineState,
+    Memory,
+    Message,
+    PsConfig,
+    ThreadLts,
+    View,
+    ZERO,
+    explore,
+    fresh_between,
+)
 
 SB = [parse("x_rlx := 1; a := y_rlx; return a;"),
       parse("y_rlx := 1; b := x_rlx; return b;")]
@@ -158,6 +171,42 @@ class TestCanaries:
         inject_violation(checker, "psna.view.monotonic")
         table = render_monitor_table(monitor_payload(checker))
         assert "!! psna.view.monotonic (injected):" in table
+
+
+class TestTimestampDetails:
+    """Violation details print bisected timestamps as rationals."""
+
+    @staticmethod
+    def _stamps():
+        half = fresh_between(ZERO, fresh_between(ZERO, None))
+        return fresh_between(ZERO, half), half
+
+    def test_duplicate_timestamp(self):
+        _, half = self._stamps()
+        memory = Memory(frozenset({Message("x", half, 0, None),
+                                   Message("x", half, 1, None)}))
+        assert check_unique_timestamps(memory) \
+            == "duplicate timestamp x@1/2"
+
+    def test_rmw_intervals(self):
+        quarter, half = self._stamps()
+        inside = Memory(frozenset({
+            Message("x", half, 0, None, attach=ZERO),
+            Message("x", quarter, 1, None)}))
+        assert check_interval_disjoint(inside) \
+            == "message x@1/4 inside RMW interval (0, 1/2]"
+        empty = Memory(frozenset({
+            Message("x", quarter, 0, None, attach=half)}))
+        assert check_interval_disjoint(empty) \
+            == "empty RMW interval (1/2, 1/4] at x"
+
+    def test_view_names_a_missing_message(self):
+        _, half = self._stamps()
+        state = MachineState(
+            (ThreadLts(program=None, view=View.singleton("x", half)),),
+            Memory.initial({"x"}))
+        assert check_view_in_memory(state) == (
+            "thread 0 view names x@1/2 with no such message in memory")
 
 
 class TestMergeDiscipline:

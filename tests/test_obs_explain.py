@@ -148,6 +148,14 @@ class TestExplainCli:
                      "x_na := 1; b := x_na; return b;"]) == 0
         assert "outcome" in capsys.readouterr().out
 
+    def test_witness_text_with_a_midpoint_timestamp(self, capsys):
+        """T1's write lands between x@0 and T0's x@1; the narration
+        prints the bisected stamp as ``1/2``, byte for byte as when
+        timestamps were Fractions."""
+        assert main(["explain", "--witness", "x_rlx := 1; return 0;",
+                     "x_rlx := 2; return 0;"]) == 0
+        assert capsys.readouterr().out == MIDPOINT_WITNESS
+
     def test_missing_trace_file_is_an_error(self, capsys, tmp_path):
         assert main(["explain", "--trace-file",
                      str(tmp_path / "no-such.jsonl")]) == 2
@@ -160,3 +168,32 @@ class TestExplainCli:
         capsys.readouterr()
         assert main(["explain", "--trace-file", path]) == 0
         assert "event result" in capsys.readouterr().out
+
+
+MIDPOINT_WITNESS = """\
+== witness: 2 thread(s) ==
+threads: 2
+shortest witness: 4 machine steps (21 states searched)
+outcome: ⟨ret (0, 0)⟩
+   [  0] initial state
+         T0: V=⟨⟩
+         T1: V=⟨⟩
+        M = {⟨x@0,0,⊥⟩}
+   [  1] T0 fires rule psna.thread.write
+        *T0: V=⟨x@1⟩
+         T1: V=⟨⟩
+        M = {⟨x@0,0,⊥⟩, ⟨x@1,1,⟨x@1⟩⟩}
+   [  2] T0 fires rule psna.thread.silent
+        *T0: V=⟨x@1⟩
+         T1: V=⟨⟩
+        M = {⟨x@0,0,⊥⟩, ⟨x@1,1,⟨x@1⟩⟩}
+   [  3] T1 fires rule psna.thread.write
+         T0: V=⟨x@1⟩
+        *T1: V=⟨x@1/2⟩
+        M = {⟨x@0,0,⊥⟩, ⟨x@1/2,2,⟨x@1/2⟩⟩, ⟨x@1,1,⟨x@1⟩⟩}
+   [  4] T1 fires rule psna.thread.silent
+         T0: V=⟨x@1⟩
+        *T1: V=⟨x@1/2⟩
+        M = {⟨x@0,0,⊥⟩, ⟨x@1/2,2,⟨x@1/2⟩⟩, ⟨x@1,1,⟨x@1⟩⟩}
+=> [  5] outcome ⟨ret (0, 0)⟩
+"""

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.psna import Memory, Message, NAMessage, View, ZERO
+from repro.psna import Memory, Message, NAMessage, View, ZERO, fresh_between
 
 
 def test_initial_memory_has_zero_messages():
@@ -21,6 +21,35 @@ def test_add_and_order():
     memory = memory.add(Message("x", Fraction(2), 1, None))
     memory = memory.add(Message("x", Fraction(1), 5, None))
     assert [m.value for m in memory.at("x")] == [0, 5, 1]
+
+
+def _bisected():
+    """``(1/4, 3/8, 1/2)``, made the way the machine makes stamps."""
+    half = fresh_between(ZERO, fresh_between(ZERO, None))
+    quarter = fresh_between(ZERO, half)
+    return quarter, fresh_between(quarter, half), half
+
+
+def test_bisected_timestamps_print_as_rationals():
+    quarter, _, half = _bisected()
+    view = View.singleton("x", half)
+    assert repr(view) == "⟨x@1/2⟩"
+    assert repr(Message("x", half, 1, view)) == "⟨x@1/2,1,⟨x@1/2⟩⟩"
+    # The RMW attach form: the write occupies (1/4, 1/2].
+    assert repr(Message("x", half, 2, view, attach=quarter)) \
+        == "⟨x@(1/4,1/2,2,⟨x@1/2⟩⟩"
+    assert repr(NAMessage("x", quarter)) == "⟨x@1/4⟩na"
+
+
+def test_memory_errors_print_rational_timestamps():
+    quarter, inside, half = _bisected()
+    memory = Memory.initial(["x"]).add(
+        Message("x", half, 2, None, attach=quarter))
+    with pytest.raises(ValueError, match="^timestamp collision at x@1/2$"):
+        memory.add(Message("x", half, 1, None))
+    with pytest.raises(ValueError, match="^timestamp x@3/8 lies inside an "
+                                         "RMW-occupied interval$"):
+        memory.add(Message("x", inside, 1, None))
 
 
 def test_timestamp_collision_rejected():

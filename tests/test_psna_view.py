@@ -2,10 +2,24 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.psna import View, ZERO, fresh_between, join_opt, view_leq_opt
+from repro.lang import parse
+from repro.lang.interp import WhileThread
+from repro.psna import (
+    MachineState,
+    Memory,
+    Message,
+    ThreadLts,
+    View,
+    ZERO,
+    canonical_key,
+    fresh_between,
+    join_opt,
+    view_leq_opt,
+)
 
 times = st.fractions(min_value=0, max_value=8, max_denominator=8)
 view_maps = st.dictionaries(st.sampled_from(["x", "y", "z"]), times,
@@ -83,6 +97,50 @@ def test_fresh_between_midpoint():
 
 def test_fresh_between_open_end():
     assert fresh_between(Fraction(3), None) == Fraction(4)
+
+
+def test_fresh_between_rejects_an_empty_interval():
+    # A raise, not an assert: the check must survive ``python -O``.
+    with pytest.raises(ValueError, match="no timestamp between 1/2 and"):
+        fresh_between(0.5, 0.5)
+    with pytest.raises(ValueError):
+        fresh_between(Fraction(2), 1.0)
+
+
+def _state(stamps):
+    """One thread whose view names the last stamp of each location, over
+    a memory holding a message at every stamp."""
+    memory = Memory.initial(["x", "y"])
+    for loc, ts in stamps:
+        memory = memory.add(Message(loc, ts, 1, View.singleton(loc, ts)))
+    view = View.of({loc: ts for loc, ts in stamps})
+    thread = ThreadLts(WhileThread.start(parse("return 0;")), view=view)
+    return MachineState((thread,), memory)
+
+
+def test_float_stamps_stay_exact_past_double_precision():
+    """80 nested bisections of one gap and 60 appends past 2**53 outrun
+    what a double holds; the Fraction fallback keeps every stamp
+    strictly ordered and distinct, and the state's canonical key equals
+    that of the same state built from Fraction stamps."""
+    low, high, bisected = 1.0, 2.0, []
+    for _ in range(80):
+        high = fresh_between(low, high)
+        bisected.append(high)
+    ts, appended = 2.0 ** 53 - 30, []
+    for _ in range(60):
+        ts = fresh_between(ts, None)
+        appended.append(ts)
+    assert all(a > b for a, b in zip(bisected, bisected[1:]))
+    assert bisected[-1] > low
+    assert all(a < b for a, b in zip(appended, appended[1:]))
+    assert len(set(bisected)) == 80 and len(set(appended)) == 60
+    for series in (bisected, appended):
+        assert isinstance(series[0], float)
+        assert isinstance(series[-1], Fraction)  # the fallback ran
+    stamps = [("x", ts) for ts in bisected] + [("y", ts) for ts in appended]
+    exact = [(loc, Fraction(ts)) for loc, ts in stamps]
+    assert canonical_key(_state(stamps)) == canonical_key(_state(exact))
 
 
 @given(views)

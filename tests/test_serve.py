@@ -22,6 +22,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.litmus import ALL_TRANSFORMATION_CASES
 from repro.obs.events import validate_events
+from repro.psna import certstore
 from repro.serve import client
 from repro.serve.http import make_server
 from repro.serve.jobs import (
@@ -29,6 +30,7 @@ from repro.serve.jobs import (
     job_id_for,
     normalize_request,
     request_digest,
+    serve_job_worker,
 )
 from repro.serve.service import ServiceClosed, VerificationService
 from repro.serve.store import VerdictStore
@@ -215,6 +217,60 @@ class TestServiceEngine:
         # Without a store the only cache is live dedup, not verdicts.
         _, served = svc.submit(VALIDATE_SPEC)
         assert served == "store"  # finished registry entry answers
+
+
+class TestCertReuse:
+    """A service job is one run of the process's cert store: later jobs
+    reuse the certification verdicts earlier jobs found."""
+
+    LB = ["a := x_rlx; y_rlx := a; return a;",
+          "b := y_rlx; x_rlx := 1; return b;"]
+    #: Explorations certifying the same pairs as LB: LB itself, its
+    #: threads listed the other way round, and LB under another bound.
+    SPECS = [{"kind": "explore", "programs": LB, "promises": 1},
+             {"kind": "explore", "programs": LB[::-1], "promises": 1},
+             {"kind": "explore", "programs": LB, "promises": 1,
+              "max_states": 5000}]
+
+    @pytest.fixture
+    def cert_store(self, tmp_path):
+        store = certstore.bind(certstore.CertStore(str(tmp_path / "cert")))
+        yield store
+        certstore.unbind()
+
+    @staticmethod
+    def _store_off(spec):
+        bound = certstore.active()
+        certstore.unbind()
+        try:
+            payload = serve_job_worker(normalize_request(spec))
+        finally:
+            certstore.bind(bound)
+        return json.loads(json.dumps(payload))
+
+    def _run(self, svc, spec):
+        job = svc.wait(svc.submit(spec)[0].id, timeout=300.0)
+        assert job.state == "done"
+        return job.result
+
+    def test_in_process_jobs_reuse_earlier_verdicts(self, service,
+                                                    cert_store):
+        svc = service(jobs=1)
+        first, second = self.SPECS[:2]
+        self._run(svc, first)
+        assert cert_store.hits == 0  # a fresh store has nothing yet
+        result = self._run(svc, second)
+        assert cert_store.hits > 0
+        assert result == self._store_off(second)
+
+    def test_pool_workers_reuse_their_own_verdicts(self, service,
+                                                   cert_store):
+        """Three jobs on two workers: one worker runs two of them, and
+        the later one hits the verdicts its earlier one queued."""
+        svc = service(jobs=2)
+        for spec in self.SPECS:
+            assert self._run(svc, spec) == self._store_off(spec)
+        assert cert_store.hits > 0  # shipped back from the workers
 
 
 class TestHTTPFrontEnd:
