@@ -186,6 +186,43 @@ class TestCacheTransparency:
         assert cached.cert_cache_hits > 0
 
 
+LB = [parse("a := x_rlx; y_rlx := a; return a;"),
+      parse("b := y_rlx; x_rlx := 1; return b;")]
+LB2 = PsConfig(promise_budget=2)
+
+#: Exploration inputs for the observer-parity check: every catalog
+#: program alone at budget 1, and LB at budget 2 complete, state-bound
+#: and depth-bound.
+OBSERVED_RUNS = [
+    pytest.param([program], CACHED, id=f"{case.name}-{side}")
+    for case in EXTENDED_CASES
+    for side, program in (("source", case.source), ("target", case.target))
+] + [
+    pytest.param(LB, LB2, id="lb2-complete"),
+    pytest.param(LB, replace(LB2, max_states=50), id="lb2-state-bound"),
+    pytest.param(LB, replace(LB2, max_depth=3), id="lb2-depth-bound"),
+]
+
+
+class TestObserverParity:
+    """Graph recorder, event stream and strict monitor are pure observers:
+    an exploration under all three searches exactly what it searches with
+    none.  ``key_cache_hits`` is left out — the graph recorder re-reads
+    each popped state's key, one extra key-cache hit per state."""
+
+    FIELDS = ("behaviors", "complete", "states", "incomplete_reason",
+              "stuck_states", "dedup_hits", "dedup_misses", "peak_frontier",
+              "cert_cache_hits", "cert_cache_misses", "key_cache_misses")
+
+    @pytest.mark.parametrize("programs, config", OBSERVED_RUNS)
+    def test_observed_search_matches_plain_search(self, programs, config):
+        plain = explore(programs, config)
+        with obs.session(graph=True, stream=True, monitor="strict"):
+            observed = explore(programs, config)
+        for field in self.FIELDS:
+            assert getattr(observed, field) == getattr(plain, field), field
+
+
 class TestRunner:
     NAMES = ["slf-basic", "na-reorder-diff-loc", "store-load-forward"]
 
