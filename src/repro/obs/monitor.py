@@ -302,18 +302,16 @@ def check_store_divergence(thread, memory, cached: bool,
 def check_key_divergence(state, key, cache=None) -> Optional[str]:
     """``cache.key-divergence``: a produced key vs. a fresh one.
 
-    Integer-encoded keys (``cache`` owns an interner) are decoded back
-    to the structural form first, so the comparison also exercises the
+    Interned keys are decoded back to the structural form through the
+    ``cache``'s interner first, so the comparison also exercises the
     encode/decode round-trip of :mod:`repro.psna.intern`.
     """
     from ..psna.intern import decode_state
-    from ..psna.machine import _canonical_key, _identity
+    from ..psna.machine import canonical_key
 
-    if cache is not None and getattr(cache, "interner", None) is not None \
-            and isinstance(key, int):
+    if isinstance(key, int):
         key = decode_state(key, cache.interner)
-    fresh = _canonical_key(state, _identity)
-    if fresh == key:
+    if canonical_key(state) == key:
         return None
     return "KeyCache key differs from uncached canonicalization"
 

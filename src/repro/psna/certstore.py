@@ -64,8 +64,8 @@ COMPACT_SEGMENTS = 16
 #: fields future PRs add) lands in the fingerprint automatically, so a
 #: new semantic knob invalidates old entries by construction.
 _FINGERPRINT_SKIP = frozenset({
-    "enable_cert_cache", "enable_key_cache", "intern_states",
-    "enable_cert_store", "certifying", "max_states", "max_depth",
+    "enable_cert_cache", "enable_key_cache", "certifying", "max_states",
+    "max_depth",
 })
 
 _DIGEST_SIZE = 16  # bytes; 32 hex chars per entry line
@@ -100,7 +100,7 @@ def cert_digest(structural_key, fingerprint: str) -> Optional[str]:
     """The on-disk key for one certification verdict, or ``None`` when
     the pair has no stable cross-process encoding.
 
-    ``structural_key`` is the object-path form from
+    ``structural_key`` is the structural form from
     :func:`repro.psna.machine.certification_key` (or the decoded
     integer encoding, which is identical by construction).
     """

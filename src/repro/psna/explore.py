@@ -32,7 +32,7 @@ from .machine import (
     canonical_key,
     initial_state,
     labeled_machine_steps,
-    machine_steps,
+    machine_steps,  # not called here: perfbench/ledger.py patches it by name
 )
 from .thread import PsConfig
 
@@ -148,14 +148,11 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
     start = initial_state(programs, config, locations)
     # One interner backs both caches (they share location/view/message
     # entries); the persistent verdict store is consulted only when one
-    # is bound for the process and the config allows it.
-    interner = Interner() if config.intern_states else None
-    store = certstore.active() if config.enable_cert_store else None
-    cert_cache = CertCache(interner, store=store,
-                           encoded=config.intern_states) \
+    # is bound for the process.
+    interner = Interner()
+    cert_cache = CertCache(interner, store=certstore.active()) \
         if config.enable_cert_cache else None
-    key_cache = KeyCache(interner, encoded=config.intern_states) \
-        if config.enable_key_cache else None
+    key_cache = KeyCache(interner) if config.enable_key_cache else None
     if key_cache is not None:
         key_cache.timed = obs.metrics() is not None
     behaviors: set[PsResult] = set()
@@ -171,9 +168,9 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
     state_bound_hit = False
     depth_bound_hit = False
 
-    # Graph/stream telemetry: both default to None and the hot loop pays
-    # one boolean check; when recording, the labeled step enumeration
-    # (same successor order) supplies the rule id per edge.
+    # Graph/stream/monitor telemetry: each defaults to None and costs the
+    # loop one ``is not None`` check per use.  The labeled steps supply
+    # the rule id of every edge.
     recorder = obs.graph()
     stream = obs.stream()
     builder = recorder.builder("psna.explore") if recorder is not None \
@@ -183,8 +180,6 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
         if checker is not None else None
     if cert_cache is not None and probe is not None:
         cert_cache.monitor = probe
-    recording = builder is not None or stream is not None \
-        or probe is not None
     if builder is not None:
         builder.node(start_key, 0)
 
@@ -202,85 +197,58 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
             break
         state, depth = stack.pop()
         states += 1
-        if not recording:
-            if state.bottom:
-                behaviors.add(PsBottom(state.syscalls))
-                continue
-            if state.all_terminated():
-                behaviors.add(PsBehavior(state.return_values(),
-                                         state.syscalls))
-                continue
-            if depth == 0:
-                depth_bound_hit = True
-                continue
-            progressed = False
-            for successor in machine_steps(state, config, cert_cache):
-                progressed = True
-                key = canonical_key(successor, key_cache)
-                if key not in seen:
-                    seen.add(key)
-                    dedup_misses += 1
-                    stack.append((successor, depth - 1))
-                else:
-                    dedup_hits += 1
-        else:
-            # Recording path: mirror of the loop above, plus node/edge
-            # capture and periodic stream progress.
-            cur_depth = config.max_depth - depth
-            src_id = -1
+        src_id = -1
+        if builder is not None:
+            src_id = builder.node_id(canonical_key(state, key_cache),
+                                     config.max_depth - depth)
+        if stream is not None and states % STATE_EVENT_INTERVAL == 0:
+            stream.emit("state", span="psna.explore", states=states,
+                        frontier=len(stack), behaviors=len(behaviors))
+        if state.bottom:
+            behavior = PsBottom(state.syscalls)
+            behaviors.add(behavior)
             if builder is not None:
-                src_id = builder.node_id(canonical_key(state, key_cache),
-                                         cur_depth)
-            if stream is not None and states % STATE_EVENT_INTERVAL == 0:
-                stream.emit("state", span="psna.explore", states=states,
-                            frontier=len(stack), behaviors=len(behaviors))
-            if state.bottom:
-                behavior = PsBottom(state.syscalls)
-                behaviors.add(behavior)
-                if builder is not None:
-                    builder.mark(src_id, "bottom", repr(behavior))
-                continue
-            if state.all_terminated():
-                behavior = PsBehavior(state.return_values(), state.syscalls)
-                behaviors.add(behavior)
-                if builder is not None:
-                    builder.mark(src_id, "terminal", repr(behavior))
-                continue
-            if depth == 0:
-                depth_bound_hit = True
-                if builder is not None:
-                    builder.truncated()
-                continue
-            progressed = False
-            for info in labeled_machine_steps(state, config, cert_cache):
-                progressed = True
-                rule = _rule_id(info)
-                if stream is not None:
-                    stream.last_rule = rule
-                key = canonical_key(info.state, key_cache)
-                if probe is not None:
-                    probe.machine_step(state, info)
-                    probe.state_key(info.state, key, key_cache)
-                if builder is not None:
-                    dst_id, _new = builder.node(key, cur_depth + 1)
-                    builder.edge(src_id, dst_id, rule)
-                if key not in seen:
-                    seen.add(key)
-                    dedup_misses += 1
-                    stack.append((info.state, depth - 1))
-                else:
-                    dedup_hits += 1
+                builder.mark(src_id, "bottom", repr(behavior))
+            continue
+        if state.all_terminated():
+            behavior = PsBehavior(state.return_values(), state.syscalls)
+            behaviors.add(behavior)
             if builder is not None:
-                builder.frontier(len(stack))
-                if not progressed:
-                    builder.mark(src_id, "stuck")
+                builder.mark(src_id, "terminal", repr(behavior))
+            continue
+        if depth == 0:
+            depth_bound_hit = True
+            if builder is not None:
+                builder.truncated()
+            continue
+        progressed = False
+        for info in labeled_machine_steps(state, config, cert_cache):
+            progressed = True
+            if stream is not None:
+                stream.last_rule = _rule_id(info)
+            key = canonical_key(info.state, key_cache)
+            if probe is not None:
+                probe.machine_step(state, info)
+                probe.state_key(info.state, key, key_cache)
+            if builder is not None:
+                dst_id, _new = builder.node(key, config.max_depth - depth + 1)
+                builder.edge(src_id, dst_id, _rule_id(info))
+            if key not in seen:
+                seen.add(key)
+                dedup_misses += 1
+                stack.append((info.state, depth - 1))
+            else:
+                dedup_hits += 1
+        if builder is not None:
+            builder.frontier(len(stack))
+            if not progressed:
+                builder.mark(src_id, "stuck")
         if len(stack) > peak_frontier:
             peak_frontier = len(stack)
         if not progressed:
             # Stuck non-terminal state (e.g. unfulfillable promises):
             # contributes no behavior, matching the inductive Def 5.2.
             stuck += 1
-            continue
     if depth_bound_hit and not state_bound_hit and stream is not None:
         stream.emit("truncation", span="psna.explore", reason=DEPTH_BOUND,
                     states=states, last_rule=stream.last_rule)
@@ -298,8 +266,7 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
             registry.inc("graph.psna.explore.dedup_misses",
                          builder.dedup_misses)
     registry = obs.metrics()
-    if registry is not None and key_cache is not None \
-            and key_cache.interner is not None:
+    if registry is not None and key_cache is not None:
         registry.observe("span.psna.intern.encode", key_cache.encode_s)
         registry.inc("psna.intern.entries", len(key_cache.interner))
     reason = (STATE_BOUND if state_bound_hit

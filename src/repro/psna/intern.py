@@ -1,7 +1,7 @@
 """Interned integer encoding of canonical PS^na state keys.
 
-The object-path canonicalization in :mod:`repro.psna.machine`
-(:func:`~repro.psna.machine._canonical_key`,
+The structural canonicalization in :mod:`repro.psna.machine`
+(:func:`~repro.psna.machine.canonical_key` without a cache,
 :func:`~repro.psna.machine.certification_key`) builds nested tuples of
 strings, rank ints, and view tuples for every state.  Hashing those
 object graphs — and the timestamp-keyed rank tables behind them —
@@ -16,13 +16,14 @@ integers.  Timestamp ranks are computed by bisection over per-location
 sorted stamp lists instead of a ``(loc, timestamp)``-keyed dict, which
 keeps timestamp hashing off the hot path entirely.
 
-The table is bidirectional: :func:`decode_state` / :func:`decode_cert`
-reconstruct the exact structural key the object path would have
-produced, so the explainer, the invariant monitor's key-divergence
-oracle, and the persistent cert store's digests keep operating on the
-rich structural form.  ``decode(intern(x)) == object_path(x)`` is an
-invariant checked by the monitor (``cache.key-divergence``) and by
-``tests/test_perf_layer.py``.
+The caches key on these ids only; the structural form is the reference
+they are checked against.  The table is bidirectional:
+:func:`decode_state` / :func:`decode_cert` reconstruct the exact
+structural key, so the invariant monitor's key-divergence oracle and the
+persistent cert store's digests keep operating on the rich structural
+form.  ``decode(intern(x)) == structural(x)`` is an invariant checked by
+the monitor (``cache.key-divergence``), by ``tests/test_perf_layer.py``
+and by ``tests/test_certstore.py``.
 
 Entry tags (first element of each interned tuple):
 
@@ -267,7 +268,7 @@ def intern_cert(thread: ThreadLts, memory: Memory,
 
 
 # ---------------------------------------------------------------------------
-# Decoding — must reproduce the object path byte for byte
+# Decoding — must reproduce the structural form byte for byte
 # ---------------------------------------------------------------------------
 
 
@@ -289,8 +290,8 @@ def _decode_message(eid: int, interner: Interner):
 def _decode_thread(eid: int, interner: Interner):
     (_, prog_id, view_id, promises_id, acq_id, rel_id, rel_views_id,
      budget) = interner.entry(eid)
-    # Promise/memory ids are sorted numerically when encoded; the object
-    # path sorts the structural keys, so re-sort after decoding.
+    # Promise/memory ids are sorted numerically when encoded; the
+    # structural form sorts the message keys, so re-sort after decoding.
     promises = tuple(sorted(
         _decode_message(mid, interner)
         for mid in interner.entry(promises_id)[1:]))
@@ -312,8 +313,8 @@ def _decode_memory(eid: int, interner: Interner):
 
 
 def decode_state(eid: int, interner: Interner):
-    """The structural key :func:`~repro.psna.machine._canonical_key`
-    would have produced for the state this id encodes."""
+    """The structural key :func:`~repro.psna.machine.canonical_key`
+    (without a cache) gives for the state this id encodes."""
     entry = interner.entry(eid)
     if entry[0] == "B":
         return ("⊥", interner.entry(entry[1])[1])
@@ -326,7 +327,7 @@ def decode_state(eid: int, interner: Interner):
 
 def decode_cert(eid: int, interner: Interner):
     """The structural key :func:`~repro.psna.machine.certification_key`
-    would have produced for the pair this id encodes."""
+    gives for the pair this id encodes."""
     _, thread_id, promise_locs, memory_id = interner.entry(eid)
     return (_decode_thread(thread_id, interner), promise_locs,
             _decode_memory(memory_id, interner))

@@ -130,16 +130,16 @@ def initial_state(programs: list[Stmt | ThreadState],
 class CertCache:
     """Per-exploration memoization of :func:`certifiable` outcomes.
 
-    Keyed on the canonicalized ``(thread, memory)`` pair — the interned
-    integer form (:func:`repro.psna.intern.intern_cert`) when the cache
-    owns an :class:`~repro.psna.intern.Interner`, the structural
-    object form (:func:`certification_key`) otherwise — so candidate
-    successors that differ only in the concrete rationals chosen for
-    fresh timestamps share one certification search.  Entries are never
-    evicted: ``ThreadLts`` and ``Memory`` are immutable, and
-    certification is a pure function of the pair for a fixed
-    :class:`PsConfig` — the in-memory cache is therefore only valid for
-    the single exploration (single config) that owns it.
+    Keyed on the canonicalized ``(thread, memory)`` pair as a single
+    interned ``int`` (:func:`repro.psna.intern.intern_cert`, whose
+    :func:`~repro.psna.intern.decode_cert` is the structural
+    :func:`certification_key`), so candidate successors that differ only
+    in the concrete rationals chosen for fresh timestamps share one
+    certification search.  Entries are never evicted: ``ThreadLts`` and
+    ``Memory`` are immutable, and certification is a pure function of
+    the pair for a fixed :class:`PsConfig` — the in-memory cache is
+    therefore only valid for the single exploration (single config) that
+    owns it.
 
     ``store`` optionally backs the cache with the persistent cross-run
     verdict store (:class:`repro.psna.certstore.CertStore`).  A store
@@ -153,9 +153,8 @@ class CertCache:
                  "store", "fingerprint")
 
     def __init__(self, interner: Optional[Interner] = None,
-                 store: Optional[CertStore] = None,
-                 encoded: bool = True) -> None:
-        self.entries: dict[object, bool] = {}
+                 store: Optional[CertStore] = None) -> None:
+        self.entries: dict[int, bool] = {}
         #: Cross-search memo of certification successor expansions:
         #: ``(thread, memory.messages) -> [(thread', memory'), ...]``.
         #: Distinct certification searches launched from neighbouring
@@ -170,24 +169,19 @@ class CertCache:
         #: a sampled fraction of in-memory and store hits is re-certified
         #: uncached and compared against the memoized verdict.
         self.monitor = None
-        self.interner = (interner if interner is not None else Interner()) \
-            if encoded else None
+        self.interner = interner if interner is not None else Interner()
         self.store = store
         self.fingerprint: Optional[str] = None  # lazily, from the config
 
-    def key(self, thread: ThreadLts, memory: Memory):
-        if self.interner is not None:
-            return intern_cert(thread, memory, self.interner)
-        return certification_key(thread, memory)
+    def key(self, thread: ThreadLts, memory: Memory) -> int:
+        return intern_cert(thread, memory, self.interner)
 
-    def digest(self, key, config: PsConfig) -> Optional[str]:
+    def digest(self, key: int, config: PsConfig) -> Optional[str]:
         """The persistent-store digest for a cache key (``None`` when the
         pair has no stable cross-process encoding)."""
         if self.fingerprint is None:
             self.fingerprint = config_fingerprint(config)
-        structural = (decode_cert(key, self.interner)
-                      if self.interner is not None else key)
-        return cert_digest(structural, self.fingerprint)
+        return cert_digest(decode_cert(key, self.interner), self.fingerprint)
 
 
 #: Thread states that take no further step: terminated or ⊥ (one
@@ -457,19 +451,25 @@ def _thread_key(thread: ThreadLts, rank):
             thread.promise_budget)
 
 
+def _memory_key(memory: Memory, rank):
+    return tuple(sorted(_message_key(m, rank) for m in memory.messages))
+
+
 def certification_key(thread: ThreadLts, memory: Memory):
-    """The :class:`CertCache` key: canonicalized ``(thread, memory)``.
+    """The structural certification key: canonicalized ``(thread, memory)``.
 
     Invariant under per-location order-isomorphic renaming of
     timestamps — every rule of the thread LTS only *compares* timestamps
     and inserts between adjacent ones, so canonically-equal pairs have
     isomorphic certification searches.  ``promise_locs`` is included
     because promise steps (``config.cert_promises``) depend on it.
+    :class:`CertCache` keys on its interned encoding; this form is the
+    reference that :func:`repro.psna.intern.decode_cert` reproduces and
+    that persistent-store digests hash.
     """
     rank = _timestamp_ranks(memory)
-    memory_key = tuple(sorted(_message_key(m, rank)
-                              for m in memory.messages))
-    return (_thread_key(thread, rank), thread.promise_locs, memory_key)
+    return (_thread_key(thread, rank), thread.promise_locs,
+            _memory_key(memory, rank))
 
 
 class KeyCache:
@@ -478,13 +478,10 @@ class KeyCache:
     ``states`` memoizes :func:`canonical_key` per value-equal
     ``MachineState`` — successors generated through different
     interleavings and then deduplicated pay one hash instead of a full
-    re-canonicalization.  By default the cache owns an
-    :class:`~repro.psna.intern.Interner` and every key is a single
-    ``int`` (the integer-encoded canonical form); with
-    ``encoded=False`` it falls back to the PR 3 object path, where
-    ``intern`` maps every produced sub-key tuple to its first instance.
-    Like :class:`CertCache`, entries are never evicted (states are
-    immutable) and the cache lives for a single exploration run.
+    re-canonicalization.  Every key is a single ``int`` from the cache's
+    :class:`~repro.psna.intern.Interner`.  Like :class:`CertCache`,
+    entries are never evicted (states are immutable) and the cache lives
+    for a single exploration run.
 
     ``encode_s`` accumulates time spent producing keys on cache misses
     when ``timed`` is set (explorations running under an observability
@@ -493,72 +490,43 @@ class KeyCache:
     the ``--profile`` span table alongside the other timing spans.
     """
 
-    __slots__ = ("states", "_interned", "interner", "hits", "misses",
-                 "timed", "encode_s")
+    __slots__ = ("states", "interner", "hits", "misses", "timed", "encode_s")
 
-    def __init__(self, interner: Optional[Interner] = None,
-                 encoded: bool = True) -> None:
-        self.states: dict[MachineState, object] = {}
-        self._interned: dict = {}
-        self.interner = (interner if interner is not None else Interner()) \
-            if encoded else None
+    def __init__(self, interner: Optional[Interner] = None) -> None:
+        self.states: dict[MachineState, int] = {}
+        self.interner = interner if interner is not None else Interner()
         self.hits = 0
         self.misses = 0
         self.timed = False
         self.encode_s = 0.0
 
-    def intern(self, key):
-        return self._interned.setdefault(key, key)
-
 
 def canonical_key(state: MachineState, cache: Optional[KeyCache] = None):
     """A hashable key invariant under per-location timestamp renaming.
 
-    Without a cache: the structural object form (what the explainer and
-    the divergence oracles compare against).  With a :class:`KeyCache`:
-    memoized per state value, and — unless the cache was built with
-    ``encoded=False`` — a single interned ``int`` whose
+    Without a cache: the structural form, the reference the explainer,
+    the monitor's divergence oracle and the cache-transparency tests
+    compare against.  With a :class:`KeyCache`: a single interned
+    ``int``, memoized per state value, whose
     :func:`repro.psna.intern.decode_state` equals the structural form.
     """
     if cache is None:
-        return _canonical_key(state, _identity)
+        if state.bottom:
+            return ("⊥", state.syscalls)
+        rank = _timestamp_ranks(state.memory)
+        return (tuple(_thread_key(thread, rank) for thread in state.threads),
+                _memory_key(state.memory, rank),
+                _view_key(state.sc_view, rank), state.syscalls)
     key = cache.states.get(state)
     if key is not None:
         cache.hits += 1
         return key
     cache.misses += 1
-    interner = cache.interner
-    if interner is None:
-        key = cache.intern(_canonical_key(state, cache.intern))
-    elif cache.timed:
+    if cache.timed:
         started = perf_counter()
-        key = intern_state(state, interner)
+        key = intern_state(state, cache.interner)
         cache.encode_s += perf_counter() - started
     else:
-        key = intern_state(state, interner)
+        key = intern_state(state, cache.interner)
     cache.states[state] = key
     return key
-
-
-def _identity(key):
-    return key
-
-
-def _canonical_key(state: MachineState, intern):
-    if state.bottom:
-        return ("⊥", state.syscalls)
-    rank = _timestamp_ranks(state.memory)
-    memory_key = intern(tuple(sorted(
-        intern(_message_key(m, rank)) for m in state.memory.messages)))
-    threads_key = tuple(
-        intern((thread.program, intern(_view_key(thread.view, rank)),
-                tuple(sorted(intern(_message_key(m, rank))
-                             for m in thread.promises)),
-                intern(_view_key(thread.acq_pending, rank)),
-                intern(_view_key(thread.rel_view, rank)),
-                tuple((loc, intern(_view_key(view, rank)))
-                      for loc, view in thread.rel_views.items),
-                thread.promise_budget))
-        for thread in state.threads)
-    return (threads_key, memory_key,
-            intern(_view_key(state.sc_view, rank)), state.syscalls)

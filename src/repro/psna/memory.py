@@ -40,10 +40,9 @@ class Message:
 
     def __repr__(self) -> str:
         view = "⊥" if self.view is None else repr(self.view)
-        attach = (f"({Fraction(self.attach)},"
-                  if self.attach is not None else "")
-        return (f"⟨{self.loc}@{attach}{Fraction(self.ts)},{self.value},"
-                f"{view}⟩")
+        stamp = (f"({Fraction(self.attach)},{Fraction(self.ts)}]"
+                 if self.attach is not None else f"{Fraction(self.ts)}")
+        return f"⟨{self.loc}@{stamp},{self.value},{view}⟩"
 
     def __hash__(self) -> int:
         # Messages live in frozensets that the certification search

@@ -74,16 +74,13 @@ class PsConfig:
     certifying: bool = False  # internal: set during certification runs
     max_states: int = 200_000
     max_depth: int = 400
-    # Performance-layer switches.  All are semantics-preserving
-    # (tests assert behavior equality with them off); the switches exist
-    # for ablation benchmarks and correctness tests.  ``intern_states``
-    # selects the integer-encoded canonical keys (repro.psna.intern);
-    # ``enable_cert_store`` lets the exploration consult the bound
-    # persistent verdict store (repro.psna.certstore), when one is bound.
+    # Performance-layer switches.  Both are semantics-preserving (tests
+    # assert behavior equality with them off): with a cache off, every
+    # lookup recomputes the structural reference form of its key
+    # (canonical_key / certifiable with no cache).  The switches exist
+    # for ablation benchmarks and cache-transparency tests.
     enable_cert_cache: bool = True
     enable_key_cache: bool = True
-    intern_states: bool = True
-    enable_cert_store: bool = True
 
     def promise_values(self) -> tuple[Value, ...]:
         if self.promise_undef_values:

@@ -10,9 +10,8 @@ Four layers of guarantees:
 * **Corruption tolerance** — a truncated, garbled, or stale-semantics
   segment degrades to cache misses, never to a crash or wrong verdict.
 * **Transparency** — verdict output is byte-identical with the store
-  cold, warm, or disabled, with integer state encoding on or off, and
-  across ``--jobs`` values; a poisoned store entry is caught by the
-  monitor's divergence oracle.
+  cold, warm, or disabled, and across ``--jobs`` values; a poisoned
+  store entry is caught by the monitor's divergence oracle.
 """
 
 import json
@@ -30,19 +29,26 @@ from repro.psna import (
     certification_key,
     explore,
 )
-from repro.psna import certstore
+from repro.psna import certstore, machine
 from repro.psna.certstore import (
     CertStore,
     SEGMENT_HEADER,
     cert_digest,
     config_fingerprint,
 )
+from repro.psna.intern import Interner, decode_cert, intern_cert
 from repro.psna.semantics import SEMANTICS_VERSION
 
 # A promise-heavy pair: load-buffering needs promises, so exploration
 # runs real certifications (and therefore consults the store).
 LB = ["a := x_rlx; y_rlx := a; return a;",
       "b := y_rlx; x_rlx := 1; return b;"]
+
+# Two threads racing a CAS for a lock: successful RMWs attach their
+# writes, so certification runs against attached messages.
+CAS_LOCK = [
+    "a := cas_acq_rel(l_rlx, 0, 1); if a == 0 { x_na := 1; } return a;",
+    "b := cas_acq_rel(l_rlx, 0, 1); if b == 0 { x_na := 2; } return b;"]
 
 DIGEST = "0123456789abcdef0123456789abcdef"
 OTHER = "fedcba9876543210fedcba9876543210"
@@ -69,8 +75,7 @@ def segment_paths(directory):
 class TestFingerprint:
     def test_cache_toggles_do_not_invalidate(self):
         base = PsConfig()
-        for field in ("enable_cert_cache", "enable_key_cache",
-                      "intern_states", "enable_cert_store"):
+        for field in ("enable_cert_cache", "enable_key_cache"):
             toggled = PsConfig(**{field: False})
             assert config_fingerprint(toggled) == config_fingerprint(base)
 
@@ -112,6 +117,30 @@ class TestDigest:
         thread_key, locs, memory_key = self._key()
         unstable = ((object(),) + thread_key[1:], locs, memory_key)
         assert cert_digest(unstable, "fp") is None
+
+    def test_interned_keys_decode_to_structural_keys(self, monkeypatch):
+        """Store digests hash ``decode_cert`` output; the digests above
+        hash ``certification_key``.  Both must agree on every pair that
+        exploration certifies — LB at budget 2, and a CAS lock at
+        budget 1 so that RMW attach ranks are covered."""
+        pairs = {}
+        certify = machine.certifiable
+
+        def recording(thread, memory, config, cache=None):
+            if thread.promises:
+                pairs.setdefault((thread, memory))
+            return certify(thread, memory, config, cache)
+
+        monkeypatch.setattr(machine, "certifiable", recording)
+        explore(lb_programs(), PsConfig(promise_budget=2))
+        explore([parse(text) for text in CAS_LOCK], PsConfig(promise_budget=1))
+        assert any(getattr(message, "attach", None) is not None
+                   for _, memory in pairs for message in memory.messages)
+        interner = Interner()
+        for thread, memory in pairs:
+            key = intern_cert(thread, memory, interner)
+            assert decode_cert(key, interner) \
+                == certification_key(thread, memory)
 
 
 class TestStoreRoundTrip:
@@ -349,18 +378,6 @@ class TestTransparency:
         err = capsys.readouterr().err
         assert "psna.cert.store_hits" in err
         assert "psna.cert.store_misses" not in err
-
-    def test_encoding_toggle_preserves_exploration(self):
-        programs = lb_programs()
-        encoded = explore(programs, PsConfig())
-        plain = explore(programs, PsConfig(intern_states=False))
-        assert encoded.behaviors == plain.behaviors
-        assert encoded.states == plain.states
-        assert encoded.complete == plain.complete
-        assert (encoded.dedup_hits, encoded.dedup_misses) \
-            == (plain.dedup_hits, plain.dedup_misses)
-        assert (encoded.cert_cache_hits, encoded.cert_cache_misses) \
-            == (plain.cert_cache_hits, plain.cert_cache_misses)
 
     def _litmus_json(self, capsys, jobs):
         assert main(["litmus", "--extended", "--format", "json",

@@ -132,14 +132,6 @@ class TestKeyCache:
         assert decode_state(first, cache.interner) == canonical_key(state)
         assert cache.hits == 1 and cache.misses == 1
 
-    def test_legacy_object_keys_match_uncached_path(self):
-        state = initial_state(SB, PsConfig(allow_promises=False))
-        cache = KeyCache(encoded=False)
-        first = canonical_key(state, cache)
-        second = canonical_key(state, cache)
-        assert first == second == canonical_key(state)
-        assert cache.hits == 1 and cache.misses == 1
-
     def test_exploration_reports_cache_counters(self):
         result = explore(SB, CACHED)
         assert result.key_cache_misses > 0

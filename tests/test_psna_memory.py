@@ -37,7 +37,7 @@ def test_bisected_timestamps_print_as_rationals():
     assert repr(Message("x", half, 1, view)) == "⟨x@1/2,1,⟨x@1/2⟩⟩"
     # The RMW attach form: the write occupies (1/4, 1/2].
     assert repr(Message("x", half, 2, view, attach=quarter)) \
-        == "⟨x@(1/4,1/2,2,⟨x@1/2⟩⟩"
+        == "⟨x@(1/4,1/2],2,⟨x@1/2⟩⟩"
     assert repr(NAMessage("x", quarter)) == "⟨x@1/4⟩na"
 
 
