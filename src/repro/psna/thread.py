@@ -75,10 +75,11 @@ class PsConfig:
     max_states: int = 200_000
     max_depth: int = 400
     # Performance-layer switches.  Both are semantics-preserving (tests
-    # assert behavior equality with them off): with a cache off, every
-    # lookup recomputes the structural reference form of its key
-    # (canonical_key / certifiable with no cache).  The switches exist
-    # for ablation benchmarks and cache-transparency tests.
+    # assert behavior equality with them off): with the key cache off,
+    # states dedup on the structural key (canonical_key with no cache),
+    # and with the cert cache off every certification searches afresh.
+    # The switches exist for ablation benchmarks and cache-transparency
+    # tests.
     enable_cert_cache: bool = True
     enable_key_cache: bool = True
 
