@@ -703,14 +703,16 @@ def _cmd_client(args: argparse.Namespace) -> int:
             submission = svc.submit(base, spec)
             job_id = submission["job"]
             if getattr(args, "stream_events", False):
+                # The stream ran to stream-end: the job is finished.
                 svc.stream_events(base, job_id)
-            if getattr(args, "wait", False) \
-                    or getattr(args, "stream_events", False):
+                status = svc.request(base, "GET", f"/v1/jobs/{job_id}")
+            elif getattr(args, "wait", False):
                 status = svc.wait_job(base, job_id)
-                print(json.dumps(status, indent=2))
-                return 0 if status.get("state") == "done" else 1
-            print(json.dumps(submission, indent=2))
-            return 0
+            else:
+                print(json.dumps(submission, indent=2))
+                return 0
+            print(json.dumps(status, indent=2))
+            return 0 if status.get("state") == "done" else 1
         if args.action == "status":
             print(json.dumps(svc.request(base, "GET",
                                          f"/v1/jobs/{args.job}"),
@@ -1093,7 +1095,8 @@ def build_parser() -> argparse.ArgumentParser:
     csubmit.add_argument("spec",
                          help="job spec as inline JSON, or @FILE")
     csubmit.add_argument("--wait", action="store_true",
-                         help="poll until done and print the verdict")
+                         help="block until the job ends and print the "
+                              "verdict")
     # dest avoids the observability --stream FILE flag: _dispatch probes
     # args.stream for a path and a bare bool must never reach it.
     csubmit.add_argument("--stream", action="store_true",

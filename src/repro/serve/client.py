@@ -1,29 +1,38 @@
 """The service client: ``repro client`` and the CI smoke's code path.
 
-A thin :mod:`urllib` wrapper over the ``/v1`` endpoints — no third-party
-HTTP stack, mirroring the server.  The one substantive piece is
-:func:`run_litmus`: it submits the whole litmus catalog as one batch,
-waits for every job, and renders **exactly** the output of
-``repro litmus --format json`` / ``--format table`` — same keys, same
-order, same summary line — which is what the CI smoke byte-compares.
-The batch response also reports how many submissions were answered
-straight from the verdict store (``served_from == "store"``), which
-:func:`run_litmus` can export for the warm-hit-rate gate.
+A thin :mod:`http.client` wrapper over the ``/v1`` endpoints — no
+third-party HTTP stack, mirroring the server.  Each thread keeps one
+persistent HTTP/1.1 connection, with Nagle off, to the service it last
+talked to, so a caller's requests reuse one TCP connection and one
+server handler thread instead of connecting per call; a call to another
+host:port closes it and connects anew.  When the server has closed a
+reused connection (an idle timeout, an error response) the call is sent
+once more on a fresh one: every request is idempotent (job ids are
+content addresses, live jobs dedup, shutdown may be asked twice).  Every
+transport failure surfaces as :class:`ServiceError`.
+
+The one substantive piece is :func:`run_litmus`: it submits the whole
+litmus catalog as one batch, waits for every job, and renders
+**exactly** the output of ``repro litmus --format json`` / ``--format
+table`` — same keys, same order, same summary line — which is what the
+CI smoke byte-compares.  The batch response also reports how many
+submissions were answered straight from the verdict store
+(``served_from == "store"``), which :func:`run_litmus` can export for
+the warm-hit-rate gate.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import socket
 import sys
-import time
-import urllib.error
-import urllib.request
-from typing import IO, Optional
+import threading
+import urllib.parse
+from http.client import HTTPConnection, HTTPException, HTTPResponse
+from typing import IO, Callable, Optional
 
 DEFAULT_BASE = "http://127.0.0.1:8642"
-
-#: How often :func:`wait_job` re-polls a job that is not done yet.
-POLL_INTERVAL_S = 0.05
 
 
 class ServiceError(Exception):
@@ -34,6 +43,107 @@ class ServiceError(Exception):
         self.status = status
         self.code = code
         self.detail = detail
+
+
+class _Connection(HTTPConnection):
+    """A thread's connection; closed with the thread's local storage."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
+#: ``conn``: this thread's :class:`_Connection`, if it has made a call.
+_local = threading.local()
+
+
+def _transport_error(base: str, error: Exception) -> ServiceError:
+    if isinstance(error, TimeoutError):
+        return ServiceError(0, "timeout", f"no answer from {base}: {error}")
+    return ServiceError(0, "unreachable", f"cannot reach {base}: "
+                                          f"{type(error).__name__}: {error}")
+
+
+def _connection(base: str, timeout: float) -> tuple[_Connection, bool]:
+    """This thread's connection to ``base``, connected, with ``timeout``
+    on its socket; and whether it was connected before this call."""
+    parts = urllib.parse.urlsplit(base)
+    if parts.scheme != "http" or not parts.hostname:
+        raise ServiceError(0, "unreachable",
+                           f"cannot reach {base}: not an http:// URL")
+    host, port = parts.hostname, parts.port or 80
+    conn = getattr(_local, "conn", None)
+    if conn is None or (conn.host, conn.port) != (host, port):
+        if conn is not None:
+            conn.close()
+        conn = _local.conn = _Connection(host, port)
+    conn.timeout = timeout
+    if conn.sock is not None:
+        conn.sock.settimeout(timeout)
+        return conn, True
+    try:
+        conn.connect()
+        # http.client sends a POST's headers and body in two send()
+        # calls: with Nagle on, the body waits for the delayed ACK.
+        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError as error:
+        conn.close()
+        raise ServiceError(0, "unreachable",
+                           f"cannot reach {base}: {error}") from None
+    return conn, False
+
+
+def _drop() -> None:
+    """Close this thread's connection, e.g. after a part-read response
+    (the next call connects again)."""
+    conn = getattr(_local, "conn", None)
+    if conn is not None:
+        conn.close()
+
+
+def _read(base: str, read: Callable[[], bytes]) -> bytes:
+    """``read()`` from a response; a transport failure part-way drops
+    the connection."""
+    try:
+        return read()
+    except (OSError, HTTPException) as error:
+        _drop()
+        raise _transport_error(base, error) from None
+
+
+def _open(base: str, method: str, path: str, timeout: float,
+          body: Optional[bytes] = None,
+          headers: Optional[dict] = None) -> HTTPResponse:
+    """Send one request and read the response's status line and headers;
+    an error status raises ServiceError with the ``repro-error/1`` body's
+    code and detail.  A reused connection the server has closed
+    (``RemoteDisconnected`` is a ``ConnectionResetError``) before any
+    response byte gets the request once more on a new one."""
+    target = urllib.parse.urlsplit(base).path.rstrip("/") + path
+    while True:
+        conn, reused = _connection(base, timeout)
+        try:
+            conn.request(method, target, body=body, headers=headers or {})
+            response = conn.getresponse()
+            break
+        except (ConnectionResetError, BrokenPipeError) as error:
+            _drop()
+            if not reused:
+                raise _transport_error(base, error) from None
+        except (OSError, HTTPException) as error:
+            _drop()
+            raise _transport_error(base, error) from None
+    if response.status < 400:
+        return response
+    data = _read(base, response.read)
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except ValueError:
+        payload = None
+    if not isinstance(payload, dict):
+        payload = {}
+    raise ServiceError(response.status, payload.get("error", "http-error"),
+                       payload.get("detail", f"HTTP {response.status} "
+                                             f"{response.reason}"))
 
 
 def request(base: str, method: str, path: str,
@@ -49,71 +159,40 @@ def request(base: str, method: str, path: str,
         send_headers["Content-Type"] = "application/json"
     if headers:
         send_headers.update(headers)
-    req = urllib.request.Request(base.rstrip("/") + path, data=data,
-                                 headers=send_headers, method=method)
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as error:
-        try:
-            payload = json.loads(error.read().decode("utf-8"))
-        except ValueError:
-            payload = {}
-        raise ServiceError(error.code,
-                           payload.get("error", "http-error"),
-                           payload.get("detail", str(error)))
-    except urllib.error.URLError as error:
-        raise ServiceError(0, "unreachable",
-                           f"cannot reach {base}: {error.reason}")
+    response = _open(base, method, path, timeout, data, send_headers)
+    return json.loads(_read(base, response.read).decode("utf-8"))
 
 
 def stream_events(base: str, job_id: str, since: int = 0,
                   out: Optional[IO[str]] = None,
                   timeout: float = 300.0) -> int:
     """Copy a job's NDJSON event stream to ``out`` as it grows; returns
-    the number of lines written.  The server closes the stream after the
+    the number of lines written.  The server ends the stream after the
     ``stream-end`` sentinel, so this terminates without client-side
-    idle logic."""
+    idle logic; ``timeout`` bounds each silence between lines."""
     sink = out if out is not None else sys.stdout
-    req = urllib.request.Request(
-        base.rstrip("/") + f"/v1/jobs/{job_id}/events?since={since}",
-        headers={"Accept": "application/x-ndjson"})
+    response = _open(base, "GET", f"/v1/jobs/{job_id}/events?since={since}",
+                     timeout, headers={"Accept": "application/x-ndjson"})
     lines = 0
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as response:
-            for raw in response:
-                sink.write(raw.decode("utf-8"))
-                sink.flush()
-                lines += 1
-    except urllib.error.HTTPError as error:
-        try:
-            payload = json.loads(error.read().decode("utf-8"))
-        except ValueError:
-            payload = {}
-        raise ServiceError(error.code,
-                           payload.get("error", "http-error"),
-                           payload.get("detail", str(error)))
-    except urllib.error.URLError as error:
-        raise ServiceError(0, "unreachable",
-                           f"cannot reach {base}: {error.reason}")
-    return lines
+        while True:
+            raw = _read(base, response.readline)
+            if not raw:
+                return lines
+            sink.write(raw.decode("utf-8"))
+            sink.flush()
+            lines += 1
+    except BaseException:
+        _drop()  # the rest of the stream is still on the wire
+        raise
 
 
-def wait_job(base: str, job_id: str, timeout: float = 300.0,
-             poll_s: float = POLL_INTERVAL_S) -> dict:
-    """Poll until the job is ``done``/``failed``; returns its status
-    body.  Raises ServiceError(0, "timeout", ...) past the deadline."""
-    deadline = time.monotonic() + timeout
-    while True:
-        status = request(base, "GET", f"/v1/jobs/{job_id}")
-        if status.get("state") in ("done", "failed"):
-            return status
-        if time.monotonic() >= deadline:
-            raise ServiceError(0, "timeout",
-                               f"job {job_id} still "
-                               f"{status.get('state')!r} after "
-                               f"{timeout:.0f}s")
-        time.sleep(poll_s)
+def wait_job(base: str, job_id: str, timeout: float = 300.0) -> dict:
+    """Block on the job's event stream until ``stream-end``, then return
+    its status body.  Raises ServiceError(0, "timeout", ...) when the
+    job sends nothing for ``timeout`` seconds."""
+    stream_events(base, job_id, out=io.StringIO(), timeout=timeout)
+    return request(base, "GET", f"/v1/jobs/{job_id}", timeout=timeout)
 
 
 def submit(base: str, spec: dict, timeout: float = 120.0,
@@ -138,38 +217,16 @@ def fetch_metrics(base: str, as_json: bool = True,
     if as_json:
         return request(base, "GET", "/v1/metrics?format=json",
                        timeout=timeout)
-    req = urllib.request.Request(
-        base.rstrip("/") + "/v1/metrics",
-        headers={"Accept": "text/plain"})
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as response:
-            return response.read().decode("utf-8")
-    except urllib.error.HTTPError as error:
-        raise ServiceError(error.code, "http-error", str(error))
-    except urllib.error.URLError as error:
-        raise ServiceError(0, "unreachable",
-                           f"cannot reach {base}: {error.reason}")
+    response = _open(base, "GET", "/v1/metrics", timeout,
+                     headers={"Accept": "text/plain"})
+    return _read(base, response.read).decode("utf-8")
 
 
 def fetch_trace(base: str, job_id: str, timeout: float = 60.0) -> list:
     """``GET /v1/jobs/<id>/trace``: the job's span records, parsed."""
-    req = urllib.request.Request(
-        base.rstrip("/") + f"/v1/jobs/{job_id}/trace",
-        headers={"Accept": "application/x-ndjson"})
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as response:
-            text = response.read().decode("utf-8")
-    except urllib.error.HTTPError as error:
-        try:
-            payload = json.loads(error.read().decode("utf-8"))
-        except ValueError:
-            payload = {}
-        raise ServiceError(error.code,
-                           payload.get("error", "http-error"),
-                           payload.get("detail", str(error)))
-    except urllib.error.URLError as error:
-        raise ServiceError(0, "unreachable",
-                           f"cannot reach {base}: {error.reason}")
+    response = _open(base, "GET", f"/v1/jobs/{job_id}/trace", timeout,
+                     headers={"Accept": "application/x-ndjson"})
+    text = _read(base, response.read).decode("utf-8")
     return [json.loads(line) for line in text.splitlines() if line]
 
 

@@ -32,11 +32,20 @@ clients), and every submission body echoes the job's ``trace``.
 Every error — malformed JSON, unknown kind, oversized program, unknown
 job, and any unexpected exception — is a ``repro-error/1`` JSON body
 with a matching 4xx/5xx status; a traceback never crosses the wire.
+
+Connections are persistent (HTTP/1.1 keep-alive): a client sends its
+requests one after another on one connection, served by one handler
+thread.  Each response leaves in one write with Nagle off, each event
+chunk in one write.  An error response closes its connection, since
+the request body may still be unread and the next request could not
+be told apart from it; a connection idle for :data:`IDLE_TIMEOUT_S`
+is closed and its handler thread exits.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -59,6 +68,10 @@ DEFAULT_MAX_BODY_BYTES = 4 * 1024 * 1024
 #: re-checking (keeps streaming threads responsive to server shutdown).
 _STREAM_POLL_S = 1.0
 
+#: How long a kept-alive connection may wait for its next request before
+#: the server closes it and frees its handler thread.
+IDLE_TIMEOUT_S = 60.0
+
 
 def error_body(status: int, code: str, detail: str) -> dict:
     return {"schema": ERROR_SCHEMA, "status": status, "error": code,
@@ -70,6 +83,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    timeout = IDLE_TIMEOUT_S
+    # A buffered wfile: headers and body leave in one write (the stdlib
+    # flushes after each request), and Nagle would hold the next one.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # -- plumbing ---------------------------------------------------------
 
@@ -83,10 +101,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def send_error(self, code, message=None, explain=None):
         """Stdlib-origin errors (unsupported method, malformed request
-        line) go out as ``repro-error/1`` JSON too, not as HTML."""
+        line) go out as ``repro-error/1`` JSON too, not as HTML.  The
+        stdlib returns without flushing after these, so flush here."""
         try:
             self._send_error_json(int(code), "bad-request",
                                   str(message or explain or code))
+            self.wfile.flush()
         except OSError:
             pass
 
@@ -95,6 +115,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if status >= 400:
+            # The request body may be unread (411, 413, an unsupported
+            # method): the next request could not be parsed after it.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -125,9 +149,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _chunk(self, text: str) -> None:
         data = text.encode("utf-8")
-        self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))
-        self.wfile.write(data)
-        self.wfile.write(b"\r\n")
+        self.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))
         self.wfile.flush()
 
     def _end_chunks(self) -> None:
@@ -247,6 +269,14 @@ class _Handler(BaseHTTPRequestHandler):
         if job is None:
             raise RequestError(404, "unknown-job",
                                f"no such job: {job_id}")
+        # The root span closes just after the job's state and stream
+        # end; a finished job's trace waits out that gap, so a client
+        # that saw ``stream-end`` reads a complete record set.
+        deadline = time.monotonic() + _STREAM_POLL_S
+        while job.trace is not None and not job.trace.closed \
+                and job.state in ("done", "failed") \
+                and time.monotonic() < deadline:
+            time.sleep(0.001)
         lines = job.trace.lines() if job.trace is not None else []
         body = "".join(line + "\n" for line in lines).encode("utf-8")
         self.send_response(200)
@@ -353,6 +383,13 @@ class ServeHTTPServer(ThreadingHTTPServer):
         self.verbose = verbose
         self.max_body_bytes = max_body_bytes
         self._shutdown_started = threading.Event()
+
+    def handle_error(self, request, client_address) -> None:
+        """A client that went away (a reset or closed kept-alive
+        connection, a stream abandoned part-way) is not a server error:
+        only other exceptions print their traceback."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
     def initiate_shutdown(self) -> None:
         """Graceful stop: drain the service, then stop serving.  Safe to

@@ -6,14 +6,19 @@ Three layers under test:
   dedup, store hits, event streams, drain-on-shutdown;
 * the HTTP front end through a real bound socket and the
   :mod:`repro.serve.client` wrapper — error bodies, NDJSON streaming,
-  byte-parity with the plain CLI;
+  byte-parity with the plain CLI, one kept-alive connection per client
+  thread;
 * :class:`repro.serve.store.VerdictStore` under concurrent writers and
   across restarts.
 """
 
 import io
 import json
+import re
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -24,7 +29,13 @@ from repro.litmus import ALL_TRANSFORMATION_CASES
 from repro.obs.events import validate_events
 from repro.psna import certstore
 from repro.serve import client
-from repro.serve.http import make_server
+from repro.serve import jobs as serve_jobs
+from repro.serve.http import (
+    IDLE_TIMEOUT_S,
+    ServeHTTPServer,
+    _Handler,
+    make_server,
+)
 from repro.serve.jobs import (
     RequestError,
     job_id_for,
@@ -412,6 +423,208 @@ class TestHTTPFrontEnd:
             deadline -= 1
             threading.Event().wait(0.05)
         assert svc.stats()["closed"] is True
+
+
+@pytest.fixture
+def accepted(monkeypatch):
+    """One Event per connection a test server accepts, set when the
+    connection's handler thread ends."""
+    finished: list[threading.Event] = []
+    original = ServeHTTPServer.process_request_thread
+
+    def tracked(server, request, client_address):
+        done = threading.Event()
+        finished.append(done)
+        try:
+            original(server, request, client_address)
+        finally:
+            done.set()
+
+    monkeypatch.setattr(ServeHTTPServer, "process_request_thread", tracked)
+    return finished
+
+
+def _address(base: str) -> tuple[str, int]:
+    host, port = base.rsplit("/", 1)[1].split(":")
+    return host, int(port)
+
+
+class TestKeepAlive:
+    """The transport: one persistent connection per client thread, and
+    error responses that close theirs."""
+
+    def test_one_thread_one_connection(self, live, accepted):
+        base, _svc = live()
+        for _ in range(20):
+            submission = client.submit(base, VALIDATE_SPEC)
+            client.stream_events(base, submission["job"],
+                                 out=io.StringIO())
+        assert client.request(base, "GET", "/v1/version")["service"] \
+            == "repro-serve/1"
+        assert len(accepted) == 1
+
+    def test_two_threads_two_connections(self, live, accepted):
+        base, _svc = live()
+        errors = []
+
+        def calls():
+            try:
+                for _ in range(5):
+                    client.request(base, "GET", "/v1/version")
+            except client.ServiceError as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=calls) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        assert errors == []
+        assert len(accepted) == 2
+
+    def test_warm_pairs_are_not_stalled_by_nagle(self, live):
+        """Nagle plus delayed ACK on a reused connection costs ~40 ms a
+        request; a warm submit + stream pair takes a few ms without."""
+        base, _svc = live()
+        submission = client.submit(base, VALIDATE_SPEC)
+        client.wait_job(base, submission["job"], timeout=300.0)
+        latencies = []
+        for _ in range(50):
+            started = time.perf_counter()
+            warm = client.submit(base, VALIDATE_SPEC)
+            client.stream_events(base, warm["job"], out=io.StringIO())
+            latencies.append(time.perf_counter() - started)
+        assert statistics.median(latencies) < 0.020
+
+    def test_connection_closed_by_the_server_is_replaced(
+            self, live, accepted, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        base, _svc = live()
+        client.request(base, "GET", "/v1/version")
+        assert accepted[0].wait(timeout=10.0)  # idle: the server closed it
+        assert client.request(base, "GET", "/v1/version")["service"] \
+            == "repro-serve/1"
+        assert len(accepted) == 2
+
+    def test_nothing_listening_is_unreachable_after_one_attempt(
+            self, monkeypatch):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        attempts = []
+        connect = client._Connection.connect
+
+        def counted(conn):
+            attempts.append(conn.port)
+            return connect(conn)
+
+        monkeypatch.setattr(client._Connection, "connect", counted)
+        with pytest.raises(client.ServiceError) as excinfo:
+            client.request(f"http://127.0.0.1:{port}", "GET", "/v1/version")
+        assert (excinfo.value.status, excinfo.value.code) \
+            == (0, "unreachable")
+        assert attempts == [port]
+
+    def test_idle_connection_is_closed_and_its_thread_exits(
+            self, live, accepted, monkeypatch):
+        assert _Handler.timeout == IDLE_TIMEOUT_S
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        base, _svc = live()
+        with socket.create_connection(_address(base), timeout=10.0) as raw:
+            assert raw.recv(1) == b""
+        assert accepted[0].wait(timeout=10.0)
+
+    PIPELINED = b"GET /v1/version HTTP/1.1\r\nHost: test\r\n\r\n"
+
+    @pytest.mark.parametrize("first, status", [
+        (b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+         b"Content-Length: 100\r\n\r\nhello", 413),
+        (b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n\r\n", 411),
+        (b"PUT /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+         b"Content-Length: 5\r\n\r\nhello", 501),
+        (b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+         b"Content-Length: 9\r\n\r\n{not json", 400),
+    ], ids=["413", "411", "501", "400-bad-json"])
+    def test_error_response_closes_its_connection(self, live, first,
+                                                  status):
+        """A request pipelined behind an error must not be parsed out
+        of the error's unread body: the error closes the connection."""
+        base, _svc = live(max_body_bytes=64)
+        received = b""
+        with socket.create_connection(_address(base), timeout=10.0) as raw:
+            raw.sendall(first + self.PIPELINED)
+            while True:
+                chunk = raw.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+        assert re.findall(rb"HTTP/1\.1 (\d{3}) ", received) \
+            == [str(status).encode()]
+        head = received.split(b"\r\n\r\n", 1)[0]
+        assert b"\r\nConnection: close\r\n" in head + b"\r\n"
+
+    def test_thread_recovers_after_error_responses(self, live, accepted):
+        base, _svc = live()
+        with pytest.raises(client.ServiceError) as bad:
+            client.submit(base, {"kind": "validate", "source": "x := (",
+                                 "target": "return 0;"})
+        assert (bad.value.status, bad.value.code) == (400, "bad-program")
+        with pytest.raises(client.ServiceError) as missing:
+            client.request(base, "GET", "/v1/jobs/j-doesnotexist")
+        assert (missing.value.status, missing.value.code) \
+            == (404, "unknown-job")
+        submission = client.submit(base, VALIDATE_SPEC)
+        assert client.wait_job(base, submission["job"],
+                               timeout=300.0)["state"] == "done"
+        assert len(accepted) == 3  # each error closed its connection
+
+    def test_wait_job_blocks_on_the_event_stream(self, live, monkeypatch):
+        release = threading.Event()
+        worker = serve_jobs.serve_job_worker
+
+        def gated(canonical):
+            release.wait(timeout=60.0)
+            return worker(canonical)
+
+        monkeypatch.setattr(serve_jobs, "serve_job_worker", gated)
+        base, svc = live()
+        submission = client.submit(base, VALIDATE_SPEC)
+        try:
+            with pytest.raises(client.ServiceError) as excinfo:
+                client.wait_job(base, submission["job"], timeout=0.3)
+            assert (excinfo.value.status, excinfo.value.code) \
+                == (0, "timeout")
+            before = svc.metrics.snapshot()["counters"]["http.requests"]
+            opener = threading.Timer(0.3, release.set)
+            opener.start()
+            status = client.wait_job(base, submission["job"],
+                                     timeout=60.0)
+            opener.join(timeout=10.0)
+        finally:
+            release.set()
+        assert status["state"] == "done"
+        # The stream and one status read, however long the job ran.
+        assert svc.metrics.snapshot()["counters"]["http.requests"] \
+            - before == 2
+
+    def test_cli_submit_reads_the_stream_once(self, live, capsys):
+        """``submit --stream`` prints the events, then the status;
+        ``submit --wait`` prints the status.  Each is one submission,
+        one event stream and one status read."""
+        base, svc = live()
+        spec = json.dumps(VALIDATE_SPEC)
+        assert cli_main(["client", "--base", base, "submit", "--stream",
+                         spec]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        split = lines.index("{")
+        events = [json.loads(line) for line in lines[:split]]
+        assert events[-1]["ev"] == "stream-end"
+        assert json.loads("\n".join(lines[split:]))["state"] == "done"
+        assert cli_main(["client", "--base", base, "submit", "--wait",
+                         spec]) == 0
+        assert json.loads(capsys.readouterr().out)["state"] == "done"
+        assert svc.metrics.snapshot()["counters"]["http.requests"] == 6
 
 
 class TestVerdictStore:
