@@ -270,9 +270,9 @@ class _Handler(BaseHTTPRequestHandler):
             raise RequestError(404, "unknown-job",
                                f"no such job: {job_id}")
         # The root span closes just after the job's state and stream
-        # end; a finished job's trace waits out that gap, so a client
-        # that saw ``stream-end`` reads a complete record set.
-        deadline = time.monotonic() + _STREAM_POLL_S
+        # end; a finished job's trace waits out that gap (at most 1 s),
+        # so a client that saw ``stream-end`` reads a complete record set.
+        deadline = time.monotonic() + 1.0
         while job.trace is not None and not job.trace.closed \
                 and job.state in ("done", "failed") \
                 and time.monotonic() < deadline:
