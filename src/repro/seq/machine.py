@@ -147,6 +147,23 @@ class SeqConfig:
         mem = memory if isinstance(memory, FrozenMap) else FrozenMap.of(memory)
         return SeqConfig(thread, frozenset(perms), frozenset(written), mem)
 
+    # The refinement game's step table, seen sets and escape cache hash
+    # every configuration many times.  Cache the hash (fields are
+    # immutable; same value as the generated one), and drop it when
+    # pickling: it is process-local.
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.thread, self.perms, self.written,
+                           self.memory))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def is_bottom(self) -> bool:
         return isinstance(self.thread.peek(), ErrAction)
 
@@ -212,8 +229,10 @@ def seq_steps(cfg: SeqConfig,
     Yields ``(label, successor)`` pairs; ``label`` is ``None`` for
     unlabeled transitions (silent steps and non-atomic accesses).  With
     an active observability session every enumerated transition fires its
-    ``rule.seq.machine.*`` counter; the disabled path pays a single
-    ``None`` check.
+    ``rule.seq.machine.*`` counter as the caller consumes it; the
+    disabled path pays a single ``None`` check.  The refinement game
+    enumerates each configuration once through :func:`seq_transitions`
+    and replays its table with the same counters.
     """
     registry = obs.metrics()
     if registry is None:
@@ -224,6 +243,21 @@ def seq_steps(cfg: SeqConfig,
         registry.inc(_SEQ_RULE_COUNTERS[classify_seq_step(cfg, action,
                                                           label)])
         yield label, successor
+
+
+def seq_transitions(cfg: SeqConfig, universe: SeqUniverse,
+                    ) -> tuple[tuple[tuple[Optional[SeqLabel], SeqConfig],
+                                     ...], tuple[str, ...]]:
+    """All of :func:`seq_steps` at once, uncounted: the ``(label,
+    successor)`` pairs in generator order, and the ``rule.seq.machine.*``
+    counter each one fires."""
+    steps = tuple(_seq_steps(cfg, universe))
+    if not steps:
+        return steps, ()
+    action = cfg.thread.peek()
+    return steps, tuple(
+        _SEQ_RULE_COUNTERS[classify_seq_step(cfg, action, label)]
+        for label, _successor in steps)
 
 
 def _seq_steps(cfg: SeqConfig,

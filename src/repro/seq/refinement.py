@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .. import obs
 from ..lang.ast import Stmt
@@ -60,6 +60,7 @@ from .machine import (
     SeqUniverse,
     classify_seq_step,
     seq_steps,
+    seq_transitions,
     universe_for,
 )
 from .oracle import OracleDefaults, _stripped_leq, default_oracle_family
@@ -139,6 +140,14 @@ class _Item:
     commitments: frozenset[str]
 
 
+def _replay(entry: tuple[tuple, tuple[str, ...]], registry
+            ) -> Iterator[tuple[Optional[SeqLabel], SeqConfig]]:
+    """Yield a step-table entry, firing each step's counter on the way."""
+    for step, rule in zip(*entry):
+        registry.inc(rule)
+        yield step
+
+
 @dataclass
 class _Escape:
     """Result of a source suffix search from one frontier element."""
@@ -168,6 +177,10 @@ class _Game:
         # identity first.  Both are per-game (fixed universe/limits).
         self._closure_cache: dict[frozenset[_Item], frozenset[_Item]] = {}
         self._frontier_intern: dict[frozenset[_Item], frozenset[_Item]] = {}
+        # Successor table: closures, escapes and the target step revisit
+        # configurations, and ``_run`` re-enumerates every source item's
+        # steps once per target label.  Also per-game.
+        self._step_table: dict[SeqConfig, tuple[tuple, tuple[str, ...]]] = {}
         self.game_states = 0
         # Search counters, kept as plain locals-on-self (cheap increments)
         # and flushed into the obs registry by the check_* entry points.
@@ -183,6 +196,28 @@ class _Game:
         self.commitment_updates = 0
         self.peak_frontier = 0
         self.cex_depth: Optional[int] = None
+
+    # -- transitions -------------------------------------------------------
+
+    def _steps(self, cfg: SeqConfig
+               ) -> Iterable[tuple[Optional[SeqLabel], SeqConfig]]:
+        """``seq_steps(cfg, universe)``, enumerated once per game.
+
+        Later calls read the table.  Under an obs session a read replays
+        the ``rule.seq.machine.*`` counters one per step as the caller
+        consumes it, as ``seq_steps`` fires them, so a caller that stops
+        part-way (a counterexample) counts exactly what it consumed.
+        """
+        if not self.caching:
+            return seq_steps(cfg, self.universe)
+        entry = self._step_table.get(cfg)
+        if entry is None:
+            entry = self._step_table[cfg] = seq_transitions(cfg,
+                                                            self.universe)
+        registry = obs.metrics()
+        if registry is None:
+            return entry[0]
+        return _replay(entry, registry)
 
     # -- source closures -------------------------------------------------
 
@@ -215,7 +250,7 @@ class _Game:
             cfg = item.cfg
             if cfg.is_bottom() or cfg.is_terminated():
                 continue
-            for label, successor in seq_steps(cfg, self.universe):
+            for label, successor in self._steps(cfg):
                 if label is None:
                     candidate = _Item(successor, item.commitments)
                     if candidate not in seen:
@@ -294,7 +329,7 @@ class _Game:
                 continue
             if cfg.is_terminated():
                 continue
-            for label, successor in seq_steps(cfg, self.universe):
+            for label, successor in self._steps(cfg):
                 if label is None:
                     stack.append((successor, rel_written))
                     continue
@@ -515,7 +550,7 @@ class _Game:
             self.obligations["partial"] += 1
 
             action = tgt.thread.peek() if recording else None
-            for label, tgt_next in seq_steps(tgt, self.universe):
+            for label, tgt_next in self._steps(tgt):
                 if label is None:
                     if recording:
                         rule = ("rule.seq.machine."
@@ -533,7 +568,7 @@ class _Game:
                     cfg = item.cfg
                     if cfg.is_bottom() or cfg.is_terminated():
                         continue
-                    for src_label, src_next in seq_steps(cfg, self.universe):
+                    for src_label, src_next in self._steps(cfg):
                         if src_label is None:
                             continue
                         updated = self._match_label(label, src_label,

@@ -38,6 +38,8 @@ from repro.psna import (
     explore,
     initial_state,
 )
+from repro.seq import refinement
+from repro.seq.machine import seq_steps
 from repro.seq.refinement import check_transformation
 
 CACHED = PsConfig(promise_budget=1)
@@ -176,6 +178,35 @@ class TestCacheTransparency:
         plain = explore(lb, UNCACHED)
         assert cached.behaviors == plain.behaviors
         assert cached.cert_cache_hits > 0
+
+
+class TestStepTableTransparency:
+    """The SEQ game's successor table only saves work: with every step
+    enumerated afresh by ``seq_steps`` the game searches, answers and
+    counts exactly the same — ``rule.seq.machine.*`` included, where a
+    counterexample stops part-way through an enumeration."""
+
+    @staticmethod
+    def _observed(case):
+        with obs.session() as session:
+            verdict = check_transformation(case.source, case.target)
+        snapshot = session.metrics.snapshot()
+        counters = {name: value
+                    for name, value in snapshot["counters"].items()
+                    if not name.startswith("span.")}
+        cexes = [repr(v.counterexample) for v in (verdict.simple,
+                                                  verdict.advanced)
+                 if v is not None]
+        return (verdict.valid, verdict.notion, verdict.game_states,
+                cexes, counters)
+
+    @pytest.mark.parametrize(
+        "case", EXTENDED_CASES, ids=lambda case: case.name)
+    def test_table_leaves_game_unchanged(self, case, monkeypatch):
+        tabled = self._observed(case)
+        monkeypatch.setattr(refinement._Game, "_steps",
+                            lambda game, cfg: seq_steps(cfg, game.universe))
+        assert self._observed(case) == tabled
 
 
 LB = [parse("a := x_rlx; y_rlx := a; return a;"),
