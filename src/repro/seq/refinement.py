@@ -729,16 +729,20 @@ def check_advanced_refinement(source: Stmt, target: Stmt,
         for defaults in family:
             game = _Game(universe, advanced=True, defaults=defaults,
                          limits=limits, caching=caching)
+            cex = None
             for tgt0 in iter_initial_configs(target, universe):
                 src0 = SeqConfig.initial(source, tgt0.perms, tgt0.memory,
                                          tgt0.written)
                 cex = game.run(tgt0, src0)
-                states += game.game_states
                 if cex is not None:
-                    game.cex_depth = len(cex.trace)
-                    game.flush_metrics()
-                    obs.inc("seq.check.advanced")
-                    return Verdict(False, True, "advanced", cex, states)
+                    break
+            # game_states is cumulative over the initial configurations.
+            states += game.game_states
+            if cex is not None:
+                game.cex_depth = len(cex.trace)
+                game.flush_metrics()
+                obs.inc("seq.check.advanced")
+                return Verdict(False, True, "advanced", cex, states)
             complete = complete and game.complete
             reasons |= game.incomplete_reasons
             game.flush_metrics()

@@ -7,6 +7,7 @@ import pytest
 from repro import obs
 from repro.adequacy import check_adequacy
 from repro.lang import node_count, parse
+from repro.litmus.catalog import case_by_name
 from repro.obs.metrics import Histogram, MetricsRegistry, diff_snapshots
 from repro.obs.report import (
     BENCH_SCHEMA,
@@ -156,6 +157,18 @@ class TestSeqGameCounters:
         assert counters["seq.check.notion.simple"] == 1
         assert counters["seq.game.obligations.partial"] > 0
         assert counters["seq.game.obligations.terminal"] > 0
+
+    @pytest.mark.parametrize("name, notion", [
+        ("rel-then-na-write", "advanced"), ("na-reorder-same-loc", "none")])
+    def test_game_states_counted_once_per_game(self, name, notion):
+        # A game plays every initial configuration in turn and its
+        # game_states is cumulative: it must enter the verdict once.
+        case = case_by_name(name)
+        with obs.session() as session:
+            verdict = check_transformation(case.source, case.target)
+        assert verdict.notion == notion
+        counters = session.metrics.snapshot()["counters"]
+        assert counters["seq.game.states"] == verdict.game_states
 
     def test_incomplete_reasons_named(self):
         from repro.seq.refinement import Limits, check_simple_refinement
