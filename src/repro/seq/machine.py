@@ -252,8 +252,6 @@ def seq_transitions(cfg: SeqConfig, universe: SeqUniverse,
     successor)`` pairs in generator order, and the ``rule.seq.machine.*``
     counter each one fires."""
     steps = tuple(_seq_steps(cfg, universe))
-    if not steps:
-        return steps, ()
     action = cfg.thread.peek()
     return steps, tuple(
         _SEQ_RULE_COUNTERS[classify_seq_step(cfg, action, label)]

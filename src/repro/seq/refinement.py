@@ -158,7 +158,13 @@ class _Escape:
 
 
 class _Game:
-    """One refinement game for a fixed initial configuration pair."""
+    """One refinement game (fixed universe, mode and oracle defaults).
+
+    :meth:`run` plays it from one initial configuration pair; the checks
+    call it once per initial configuration, and the caches, the step
+    table and the counters (``game_states`` included) accumulate
+    across those runs.
+    """
 
     def __init__(self, universe: SeqUniverse, advanced: bool,
                  defaults: Optional[OracleDefaults], limits: Limits,
@@ -680,8 +686,10 @@ def check_simple_refinement(source: Stmt, target: Stmt,
     """Check ``σ_tgt ⊑ σ_src`` (Def 2.4) over all initial ⟨P, F, M⟩.
 
     ``source {~> target`` is a valid transformation iff this returns
-    REFINES.  ``caching=False`` disables the game's closure/frontier
-    caches (ablation and correctness testing only).
+    REFINES.  One game plays every initial configuration in turn; the
+    verdict's ``game_states`` counts the states it visited.
+    ``caching=False`` disables the game's successor table and its
+    closure/frontier caches (ablation and correctness testing only).
     """
     if universe is None:
         universe = universe_for(source, target)
@@ -715,7 +723,10 @@ def check_advanced_refinement(source: Stmt, target: Stmt,
     """Check ``σ_tgt ⊑w σ_src`` (Def 3.3) against an oracle family.
 
     A VIOLATES verdict exhibits a genuine oracle + behavior witness; a
-    REFINES verdict means no family member falsifies refinement.
+    REFINES verdict means no family member falsifies refinement.  Each
+    family member gets one game over every initial configuration; the
+    verdict's ``game_states`` sums the states of the games played.
+    ``caching`` is as for :func:`check_simple_refinement`.
     """
     if universe is None:
         universe = universe_for(source, target)
@@ -802,7 +813,8 @@ def check_transformation(source: Stmt, target: Stmt,
     """Validate ``source {~> target``: try simple, then advanced.
 
     By Prop 3.4 simple refinement implies advanced refinement, so the
-    advanced check only runs when the simple one fails.
+    advanced check only runs when the simple one fails.  ``caching``
+    reaches both checkers (see :func:`check_simple_refinement`).
     """
     simple = check_simple_refinement(source, target, universe, limits,
                                      caching=caching)

@@ -2,9 +2,9 @@
 
 Covers the three tentpoles of the perf PR: certification memoization
 (:class:`CertCache`), canonical-key caching/interning
-(:class:`KeyCache`, SEQ game closure memoization), and the parallel
-sweep runner (:mod:`repro.runner`, ``--jobs``) — plus the exact
-``max_states`` bound regression.
+(:class:`KeyCache`, SEQ game closure memoization and successor
+table), and the parallel sweep runner (:mod:`repro.runner`,
+``--jobs``) — plus the exact ``max_states`` bound regression.
 
 The load-bearing property throughout: caches and parallelism are pure
 performance artifacts.  Every observable result — behavior sets, state
