@@ -13,7 +13,11 @@ SLF we additionally kill a register from all sets when it is reassigned
 
 A load ``b := x^na`` is rewritten to ``b := a`` for any ``a`` in the set
 of ``x``.  This is sound across release writes: if the permission on
-``x`` was lost, the load would return undef, and any value refines undef.
+``x`` was lost, the load would return undef, and any value refines undef
+— unless the program goes on to observe that undef (``freeze`` or
+``print``, see :mod:`repro.opt.observe`).  The state therefore also
+records which registers were loaded before a release write or fence,
+and such a register is not forwarded into an observed load.
 """
 
 from __future__ import annotations
@@ -21,43 +25,62 @@ from __future__ import annotations
 from typing import Optional
 
 from ..lang.ast import Assign, Fence, Freeze, Load, Reg, Rmw, Stmt, Store
-from ..lang.events import ACQ, NA, FenceKind
+from ..lang.events import ACQ, NA, REL, FenceKind
 from ..util.fmap import FrozenMap
 from .framework import ForwardPass
+from .observe import undef_observed_loads
+
+
+def _nonempty(sets: dict) -> FrozenMap:
+    return FrozenMap.of({loc: regs for loc, regs in sets.items() if regs})
 
 
 class LlfState:
-    """Per-location register sets; absent locations map to ∅."""
+    """Per-location register sets; absent locations map to ∅.
 
-    __slots__ = ("regs",)
+    ``released`` holds, per location, the registers of its set that were
+    loaded before a release write or fence that has run since.
+    """
 
-    def __init__(self, regs: Optional[FrozenMap] = None) -> None:
+    __slots__ = ("regs", "released")
+
+    def __init__(self, regs: Optional[FrozenMap] = None,
+                 released: Optional[FrozenMap] = None) -> None:
         self.regs = regs if regs is not None else FrozenMap()
+        self.released = released if released is not None else FrozenMap()
 
     def get(self, loc: str) -> frozenset[str]:
         return self.regs.get(loc, frozenset())
 
+    def get_released(self, loc: str) -> frozenset[str]:
+        return self.released.get(loc, frozenset())
+
     def set(self, loc: str, regs: frozenset[str]) -> "LlfState":
-        if not regs:
-            trimmed = {k: v for k, v in self.regs.as_dict().items()
-                       if k != loc}
-            return LlfState(FrozenMap.of(trimmed))
-        return LlfState(self.regs.set(loc, regs))
+        updated = self.regs.as_dict()
+        updated[loc] = regs
+        released = self.released.as_dict()
+        released[loc] = self.get_released(loc) & regs
+        return LlfState(_nonempty(updated), _nonempty(released))
 
     def kill_register(self, reg: str) -> "LlfState":
-        updated = {loc: regs - {reg}
-                   for loc, regs in self.regs.as_dict().items()}
-        return LlfState(FrozenMap.of(
-            {loc: regs for loc, regs in updated.items() if regs}))
+        return LlfState(
+            _nonempty({loc: regs - {reg}
+                       for loc, regs in self.regs.as_dict().items()}),
+            _nonempty({loc: regs - {reg}
+                       for loc, regs in self.released.as_dict().items()}))
+
+    def release(self) -> "LlfState":
+        return LlfState(self.regs, self.regs)
 
     def clear(self) -> "LlfState":
         return LlfState()
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LlfState) and self.regs == other.regs
+        return (isinstance(other, LlfState) and self.regs == other.regs
+                and self.released == other.released)
 
     def __hash__(self) -> int:
-        return hash(self.regs)
+        return hash((self.regs, self.released))
 
     def __repr__(self) -> str:
         if not len(self.regs):
@@ -70,18 +93,27 @@ class LlfState:
 class LlfPass(ForwardPass[LlfState]):
     """The load-to-load forwarding pass."""
 
+    #: ``id``s of the loads whose undefinedness is observed (set by run).
+    observed: frozenset[int] = frozenset()
+
     def initial(self) -> LlfState:
         return LlfState()
 
+    def run(self, stmt: Stmt) -> Stmt:
+        self.observed = undef_observed_loads(stmt)
+        return super().run(stmt)
+
     def join(self, left: LlfState, right: LlfState) -> LlfState:
         locs = set(left.regs.keys()) & set(right.regs.keys())
-        return LlfState(FrozenMap.of(
-            {loc: left.get(loc) & right.get(loc) for loc in locs
-             if left.get(loc) & right.get(loc)}))
+        regs = {loc: left.get(loc) & right.get(loc) for loc in locs}
+        return LlfState(_nonempty(regs), _nonempty(
+            {loc: (left.get_released(loc) | right.get_released(loc))
+             & regs[loc] for loc in locs}))
 
     def transfer(self, stmt: Stmt, state: LlfState) -> LlfState:
         if isinstance(stmt, Store):
-            return state.set(stmt.loc, frozenset())
+            state = state.set(stmt.loc, frozenset())
+            return state.release() if stmt.mode is REL else state
         if isinstance(stmt, Load):
             state = state.kill_register(stmt.reg)
             if stmt.mode is ACQ:
@@ -95,13 +127,15 @@ class LlfPass(ForwardPass[LlfState]):
             return state.kill_register(stmt.reg).clear()
         if isinstance(stmt, Fence):
             if stmt.kind is FenceKind.REL:
-                return state
+                return state.release()
             return state.clear()  # acquire and SC fences
         return state
 
     def rewrite(self, stmt: Stmt, state: LlfState) -> Stmt:
         if isinstance(stmt, Load) and stmt.mode is NA:
             regs = state.get(stmt.loc)
+            if id(stmt) in self.observed:
+                regs -= state.get_released(stmt.loc)
             if regs:
                 source = min(regs)  # deterministic choice
                 return Assign(stmt.reg, Reg(source))

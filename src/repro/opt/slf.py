@@ -15,7 +15,9 @@ of the abstract tokens:
 Transitions (Fig 3): a non-atomic store to ``x`` sets ``◦(v)``; a release
 write moves ``◦(v)`` to ``•(v)``; an acquire read moves ``•(v)`` to ``⊤``.
 A load ``a := x^na`` is rewritten to ``a := v`` when the token is ``◦(v)``
-or ``•(v)``.
+or ``•(v)`` — but not at ``•(v)`` when the program goes on to observe
+the undef the load may read (``freeze`` or ``print``, see
+:mod:`repro.opt.observe`).
 
 Beyond the paper's figure we also kill tokens whose abstract value is a
 register that gets reassigned, and treat acquire/release *fences* like
@@ -39,6 +41,7 @@ from ..lang.ast import (
 from ..lang.events import ACQ, NA, REL, FenceKind
 from .absval import AbsVal, absval_to_expr, expr_to_absval, mentions_register
 from .framework import ForwardPass
+from .observe import undef_observed_loads
 from ..util.fmap import FrozenMap
 
 
@@ -132,8 +135,15 @@ class SlfState:
 class SlfPass(ForwardPass[SlfState]):
     """The store-to-load forwarding pass."""
 
+    #: ``id``s of the loads whose undefinedness is observed (set by run).
+    observed: frozenset[int] = frozenset()
+
     def initial(self) -> SlfState:
         return SlfState()  # every location starts at ⊤
+
+    def run(self, stmt: Stmt) -> Stmt:
+        self.observed = undef_observed_loads(stmt)
+        return super().run(stmt)
 
     def join(self, left: SlfState, right: SlfState) -> SlfState:
         locs = set(left.tokens.keys()) | set(right.tokens.keys())
@@ -175,6 +185,8 @@ class SlfPass(ForwardPass[SlfState]):
     def rewrite(self, stmt: Stmt, state: SlfState) -> Stmt:
         if isinstance(stmt, Load) and stmt.mode is NA:
             token = state.get(stmt.loc)
+            if isinstance(token, After) and id(stmt) in self.observed:
+                return stmt
             if isinstance(token, (Before, After)):
                 return Assign(stmt.reg, absval_to_expr(token.value))
         return stmt

@@ -25,6 +25,20 @@ class TestLlfState:
         left = LlfState().set("x", frozenset({"a"}))
         assert pass_.join(left, LlfState()).get("x") == frozenset()
 
+    def test_release_marks_registers(self):
+        state = LlfState().set("x", frozenset({"a"})).release()
+        state = state.set("x", state.get("x") | {"b"})
+        assert state.get("x") == frozenset({"a", "b"})
+        assert state.get_released("x") == frozenset({"a"})
+
+    def test_join_keeps_released_from_either_side(self):
+        pass_ = LlfPass()
+        left = LlfState().set("x", frozenset({"a"})).release()
+        right = LlfState().set("x", frozenset({"a"}))
+        joined = pass_.join(left, right)
+        assert joined.get("x") == frozenset({"a"})
+        assert joined.get_released("x") == frozenset({"a"})
+
 
 class TestFig8aTransitions:
     def out_state(self, source):
@@ -97,6 +111,34 @@ class TestLlfRewrites:
         optimized = llf_pass(parse(
             "a := x_na; while c < 2 { b := x_na; x_na := c; c := c + 1; }"
             " return 0;"))
+        assert "b := x_na" in repr(optimized)
+
+    def test_no_forwarding_into_freeze_across_release(self):
+        # After the release b's load may read undef, whose freeze takes a
+        # visible choose step; a forwarded defined value would not.
+        optimized = llf_pass(parse(
+            "a := x_na; y_rel := 1; b := x_na; c := freeze(b); return c;"))
+        assert "b := x_na" in repr(optimized)
+
+    def test_no_forwarding_into_print_across_release(self):
+        optimized = llf_pass(parse(
+            "a := x_na; y_rel := 1; b := x_na; print(b); return 0;"))
+        assert "b := x_na" in repr(optimized)
+
+    def test_no_forwarding_into_freeze_across_release_fence(self):
+        optimized = llf_pass(parse(
+            "a := x_na; fence_rel; b := x_na; c := freeze(b); return c;"))
+        assert "b := x_na" in repr(optimized)
+
+    def test_forwarding_into_freeze_without_release(self):
+        optimized = llf_pass(parse(
+            "a := x_na; b := x_na; c := freeze(b); return c;"))
+        assert "b := a" in repr(optimized)
+
+    def test_loop_carried_freeze_blocks_hoisted_forwarding(self):
+        optimized = llf_pass(parse(
+            "a := x_na; while i < 2 { y_rel := 1; c := freeze(b); "
+            "b := x_na; i := i + 1; } return 0;"))
         assert "b := x_na" in repr(optimized)
 
     def test_fixpoint_fast(self):

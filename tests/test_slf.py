@@ -172,3 +172,21 @@ class TestSlfRewrites:
         blocked = slf_pass(parse(
             "x_na := 1; fence_rel; fence_acq; b := x_na; return b;"))
         assert "b := x_na" in repr(blocked)
+
+    def test_no_forwarding_into_freeze_across_release(self):
+        # •(1): b's load may read undef, whose freeze is a visible choose.
+        optimized = slf_pass(parse(
+            "x_na := 1; y_rel := 7; b := x_na; c := freeze(b); return c;"))
+        assert "b := x_na" in repr(optimized)
+
+    def test_no_forwarding_through_memory_into_print_across_release(self):
+        optimized = slf_pass(parse(
+            "x_na := 1; y_rel := 7; b := x_na; z_na := b; d := z_na; "
+            "print(d); return 0;"))
+        assert "b := x_na" in repr(optimized)
+        assert "d := b" in repr(optimized)  # ◦(b): no release since
+
+    def test_forwarding_into_freeze_without_release(self):
+        optimized = slf_pass(parse(
+            "x_na := 1; b := x_na; c := freeze(b); return c;"))
+        assert "b := 1" in repr(optimized)
