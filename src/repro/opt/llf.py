@@ -16,8 +16,10 @@ of ``x``.  This is sound across release writes: if the permission on
 ``x`` was lost, the load would return undef, and any value refines undef
 — unless the program goes on to observe that undef (``freeze`` or
 ``print``, see :mod:`repro.opt.observe`).  The state therefore also
-records which registers were loaded before a release write or fence,
-and such a register is not forwarded into an observed load.
+records which registers hold a value of ``x`` from before a release
+write or fence, and such a register is not forwarded into an observed
+load.  A load that is itself forwarded from such a register holds that
+value too, so it is recorded the same way.
 """
 
 from __future__ import annotations
@@ -28,49 +30,51 @@ from ..lang.ast import Assign, Fence, Freeze, Load, Reg, Rmw, Stmt, Store
 from ..lang.events import ACQ, NA, REL, FenceKind
 from ..util.fmap import FrozenMap
 from .framework import ForwardPass
-from .observe import undef_observed_loads
-
-
-def _nonempty(sets: dict) -> FrozenMap:
-    return FrozenMap.of({loc: regs for loc, regs in sets.items() if regs})
+from .observe import ObservedLoads
 
 
 class LlfState:
     """Per-location register sets; absent locations map to ∅.
 
-    ``released`` holds, per location, the registers of its set that were
-    loaded before a release write or fence that has run since.
+    ``released`` holds the registers of those sets whose value was loaded
+    before a release write or fence that has run since.  A register sits
+    in at most one set: a load into it first kills it everywhere.
     """
 
     __slots__ = ("regs", "released")
 
     def __init__(self, regs: Optional[FrozenMap] = None,
-                 released: Optional[FrozenMap] = None) -> None:
+                 released: frozenset[str] = frozenset()) -> None:
         self.regs = regs if regs is not None else FrozenMap()
-        self.released = released if released is not None else FrozenMap()
+        self.released = released
 
     def get(self, loc: str) -> frozenset[str]:
         return self.regs.get(loc, frozenset())
 
     def get_released(self, loc: str) -> frozenset[str]:
-        return self.released.get(loc, frozenset())
+        return self.get(loc) & self.released
 
     def set(self, loc: str, regs: frozenset[str]) -> "LlfState":
-        updated = self.regs.as_dict()
-        updated[loc] = regs
-        released = self.released.as_dict()
-        released[loc] = self.get_released(loc) & regs
-        return LlfState(_nonempty(updated), _nonempty(released))
+        released = self.released - (self.get(loc) - regs)
+        if not regs:
+            trimmed = {k: v for k, v in self.regs.as_dict().items()
+                       if k != loc}
+            return LlfState(FrozenMap.of(trimmed), released)
+        return LlfState(self.regs.set(loc, regs), released)
+
+    def add(self, loc: str, reg: str, released: bool) -> "LlfState":
+        return LlfState(self.regs.set(loc, self.get(loc) | {reg}),
+                        self.released | {reg} if released else self.released)
 
     def kill_register(self, reg: str) -> "LlfState":
-        return LlfState(
-            _nonempty({loc: regs - {reg}
-                       for loc, regs in self.regs.as_dict().items()}),
-            _nonempty({loc: regs - {reg}
-                       for loc, regs in self.released.as_dict().items()}))
+        updated = {loc: regs - {reg}
+                   for loc, regs in self.regs.as_dict().items()}
+        return LlfState(FrozenMap.of(
+            {loc: regs for loc, regs in updated.items() if regs}),
+            self.released - {reg})
 
     def release(self) -> "LlfState":
-        return LlfState(self.regs, self.regs)
+        return LlfState(self.regs, frozenset().union(*self.regs.values()))
 
     def clear(self) -> "LlfState":
         return LlfState()
@@ -93,34 +97,35 @@ class LlfState:
 class LlfPass(ForwardPass[LlfState]):
     """The load-to-load forwarding pass."""
 
-    #: ``id``s of the loads whose undefinedness is observed (set by run).
-    observed: frozenset[int] = frozenset()
+    #: The loads whose undefinedness is observed (set by ``run``).
+    observed: ObservedLoads = ObservedLoads()
 
     def initial(self) -> LlfState:
         return LlfState()
 
     def run(self, stmt: Stmt) -> Stmt:
-        self.observed = undef_observed_loads(stmt)
+        self.observed = ObservedLoads(stmt)
         return super().run(stmt)
 
     def join(self, left: LlfState, right: LlfState) -> LlfState:
         locs = set(left.regs.keys()) & set(right.regs.keys())
-        regs = {loc: left.get(loc) & right.get(loc) for loc in locs}
-        return LlfState(_nonempty(regs), _nonempty(
-            {loc: (left.get_released(loc) | right.get_released(loc))
-             & regs[loc] for loc in locs}))
+        regs = FrozenMap.of(
+            {loc: left.get(loc) & right.get(loc) for loc in locs
+             if left.get(loc) & right.get(loc)})
+        return LlfState(regs, (left.released | right.released)
+                        & frozenset().union(*regs.values()))
 
     def transfer(self, stmt: Stmt, state: LlfState) -> LlfState:
         if isinstance(stmt, Store):
             state = state.set(stmt.loc, frozenset())
             return state.release() if stmt.mode is REL else state
         if isinstance(stmt, Load):
-            state = state.kill_register(stmt.reg)
-            if stmt.mode is ACQ:
-                return state.clear()
             if stmt.mode is NA:
-                return state.set(stmt.loc, state.get(stmt.loc) | {stmt.reg})
-            return state
+                released = self._source(stmt, state) in state.released
+                return state.kill_register(stmt.reg).add(
+                    stmt.loc, stmt.reg, released)
+            state = state.kill_register(stmt.reg)
+            return state.clear() if stmt.mode is ACQ else state
         if isinstance(stmt, (Assign, Freeze)):
             return state.kill_register(stmt.reg)
         if isinstance(stmt, Rmw):
@@ -131,13 +136,25 @@ class LlfPass(ForwardPass[LlfState]):
             return state.clear()  # acquire and SC fences
         return state
 
+    def _source(self, stmt: Load, state: LlfState) -> Optional[str]:
+        """The register a non-atomic load is forwarded from, if any.
+
+        A register loaded since the last release is preferred; one
+        holding an older value serves only a load whose undef is not
+        observed.  The smallest name wins, so the choice is deterministic.
+        """
+        regs = state.get(stmt.loc)
+        if not regs:
+            return None
+        fresh = regs - state.released
+        if fresh:
+            return min(fresh)
+        return None if stmt in self.observed else min(regs)
+
     def rewrite(self, stmt: Stmt, state: LlfState) -> Stmt:
         if isinstance(stmt, Load) and stmt.mode is NA:
-            regs = state.get(stmt.loc)
-            if id(stmt) in self.observed:
-                regs -= state.get_released(stmt.loc)
-            if regs:
-                source = min(regs)  # deterministic choice
+            source = self._source(stmt, state)
+            if source is not None:
                 return Assign(stmt.reg, Reg(source))
         return stmt
 

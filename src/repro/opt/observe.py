@@ -26,6 +26,7 @@ can leave exactly those loads alone when a release intervenes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from ..lang.ast import Assign, Freeze, Load, Print, Rmw, Stmt, Store
 from ..lang.events import NA
@@ -97,3 +98,21 @@ def undef_observed_loads(stmt: Stmt) -> frozenset[int]:
     pass_ = ObservedPass()
     pass_.run(stmt)
     return frozenset(pass_.loads)
+
+
+class ObservedLoads:
+    """The observed loads of one program, computed on the first query.
+
+    The forwarding passes ask only about a load they could forward
+    across a release, which many programs never reach.
+    """
+
+    def __init__(self, program: Optional[Stmt] = None) -> None:
+        self._program = program
+        self._loads: Optional[frozenset[int]] = \
+            None if program is not None else frozenset()
+
+    def __contains__(self, load: Load) -> bool:
+        if self._loads is None:
+            self._loads = undef_observed_loads(self._program)
+        return id(load) in self._loads

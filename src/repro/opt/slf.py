@@ -41,7 +41,7 @@ from ..lang.ast import (
 from ..lang.events import ACQ, NA, REL, FenceKind
 from .absval import AbsVal, absval_to_expr, expr_to_absval, mentions_register
 from .framework import ForwardPass
-from .observe import undef_observed_loads
+from .observe import ObservedLoads
 from ..util.fmap import FrozenMap
 
 
@@ -135,14 +135,14 @@ class SlfState:
 class SlfPass(ForwardPass[SlfState]):
     """The store-to-load forwarding pass."""
 
-    #: ``id``s of the loads whose undefinedness is observed (set by run).
-    observed: frozenset[int] = frozenset()
+    #: The loads whose undefinedness is observed (set by ``run``).
+    observed: ObservedLoads = ObservedLoads()
 
     def initial(self) -> SlfState:
         return SlfState()  # every location starts at ⊤
 
     def run(self, stmt: Stmt) -> Stmt:
-        self.observed = undef_observed_loads(stmt)
+        self.observed = ObservedLoads(stmt)
         return super().run(stmt)
 
     def join(self, left: SlfState, right: SlfState) -> SlfState:
@@ -185,7 +185,7 @@ class SlfPass(ForwardPass[SlfState]):
     def rewrite(self, stmt: Stmt, state: SlfState) -> Stmt:
         if isinstance(stmt, Load) and stmt.mode is NA:
             token = state.get(stmt.loc)
-            if isinstance(token, After) and id(stmt) in self.observed:
+            if isinstance(token, After) and stmt in self.observed:
                 return stmt
             if isinstance(token, (Before, After)):
                 return Assign(stmt.reg, absval_to_expr(token.value))

@@ -68,6 +68,11 @@ class TestFig8aTransitions:
         state = self.out_state("a := x_na; a := freeze(a);")
         assert state.get("x") == frozenset()
 
+    def test_load_forwarded_from_released_register_is_released(self):
+        # c := x_na becomes c := a, so c holds a's pre-release value.
+        state = self.out_state("a := x_na; y_rel := 1; c := x_na;")
+        assert state.get_released("x") == frozenset({"a", "c"})
+
 
 class TestLlfRewrites:
     def test_basic_forwarding(self):
@@ -129,6 +134,28 @@ class TestLlfRewrites:
         optimized = llf_pass(parse(
             "a := x_na; fence_rel; b := x_na; c := freeze(b); return c;"))
         assert "b := x_na" in repr(optimized)
+
+    def test_no_forwarding_into_freeze_through_a_forwarded_load(self):
+        # c := x_na is not observed and becomes c := a; forwarding c into
+        # b would still hand b the value from before the release.
+        optimized = llf_pass(parse(
+            "a := x_na; y_rel := 1; c := x_na; b := x_na; c := freeze(b);"
+            " return 0;"))
+        text = repr(optimized)
+        assert "c := a" in text and "b := x_na" in text
+
+    def test_load_after_release_forwards_into_freeze(self):
+        optimized = llf_pass(parse(
+            "a := x_na; y_rel := 1; b := x_na; d := x_na; print(b);"
+            " c := freeze(d); return 0;"))
+        text = repr(optimized)
+        assert "b := x_na" in text and "d := b" in text
+
+    def test_forwarding_prefers_a_load_after_release(self):
+        optimized = llf_pass(parse(
+            "a := x_na; y_rel := 1; b := x_na; d := x_na; print(b);"
+            " return d;"))
+        assert "d := b" in repr(optimized)
 
     def test_forwarding_into_freeze_without_release(self):
         optimized = llf_pass(parse(

@@ -1,7 +1,5 @@
 """Tests for the SEQ permission machine transitions (Fig 1)."""
 
-import pickle
-
 import pytest
 
 from repro.lang import UNDEF, parse
@@ -231,15 +229,3 @@ def test_unlabeled_closure_collects_na_paths():
     written_sets = {c.written for c in closure}
     assert frozenset() in written_sets
     assert frozenset({"x", "y"}) in written_sets
-
-
-def test_config_hash_cached_but_not_pickled():
-    # The cached hash must equal the generated one (set and dict orders
-    # stay put) and must not cross a process boundary: str hashes are
-    # salted per process.
-    cfg = config("x_na := 1; return 0;", {"x"}, {"x": 0, "y": 0})
-    assert hash(cfg) == hash((cfg.thread, cfg.perms, cfg.written,
-                              cfg.memory))
-    copy = pickle.loads(pickle.dumps(cfg))
-    assert "_hash" not in copy.__dict__
-    assert copy == cfg and hash(copy) == hash(cfg)
