@@ -147,23 +147,6 @@ class SeqConfig:
         mem = memory if isinstance(memory, FrozenMap) else FrozenMap.of(memory)
         return SeqConfig(thread, frozenset(perms), frozenset(written), mem)
 
-    # The refinement game's step table, seen sets and escape cache hash
-    # every configuration many times.  Cache the hash (fields are
-    # immutable; same value as the generated one), and drop it when
-    # pickling: it is process-local.
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.thread, self.perms, self.written,
-                           self.memory))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
     def is_bottom(self) -> bool:
         return isinstance(self.thread.peek(), ErrAction)
 
