@@ -12,7 +12,7 @@ instrumented engines:
   disjointness), thread-view monotonicity along every machine step,
   views bounded by the memory frontier (every view timestamp names a
   live message), promise sets that shrink only by fulfillment, and a
-  *freeze probe*: whenever a ``choose`` step resolves a
+  *freeze probe* (ROADMAP item 6): whenever a ``choose`` step resolves a
   frozen ``undef`` while the thread still holds promises, certification
   is re-run uncached and must still succeed.
 * **Caches** — a sampled divergence oracle re-executes a configurable
@@ -260,7 +260,8 @@ def check_certified_promises(state, thread_index: int,
     The machine only yields successors whose stepping thread passed
     certification (possibly via the :class:`CertCache`); this probe
     re-runs the certification search *uncached* — the dedicated probe
-    around ``freeze`` of promised-read registers.
+    around ``freeze`` of promised-read registers that ROADMAP item 6
+    asks for.
     """
     from ..psna.machine import certifiable
 
@@ -532,8 +533,8 @@ class MonitorProbe:
                 and state.threads[info.thread].promises
                 and self.config is not None):
             # The freeze probe: internal nondeterminism was just
-            # resolved under outstanding promises — the
-            # promise/certification interplay around ``freeze``.
+            # resolved under outstanding promises — exactly the
+            # promise/certification interplay of ROADMAP item 6.
             monitor.check("psna.cert.fulfillable",
                           check_certified_promises(state, info.thread,
                                                    self.config),
