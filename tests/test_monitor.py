@@ -104,7 +104,7 @@ class TestCleanRuns:
     def test_freeze_probe_and_cert_oracle_fire(self):
         # A racy non-atomic read makes ``freeze`` a genuine ``choose``
         # step, and promise_budget=1 lets threads hold promises across
-        # it — exactly the ROADMAP-item-6 interplay the dedicated
+        # it — exactly the freeze/promise interplay the dedicated
         # ``psna.cert.fulfillable`` probe re-certifies.  The same run
         # feeds the sampled cert-cache divergence oracle real hits.
         threads = [parse("x_na := 1; return 0;"),
