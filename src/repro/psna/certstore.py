@@ -25,17 +25,11 @@ set it to ``off`` to disable)::
     segment-<pid>-<n>.seg   one header line, then "<digest> <0|1>" lines
     history.jsonl           one JSON line per close / gc / clear event
 
-Crash safety
-    Segments are written to a temp file and atomically renamed, and the
-    loader treats any malformed header or entry line as absent — a
-    truncated or corrupted segment degrades to cache misses, never to a
-    crash or a wrong verdict.  Concurrent writers (``--jobs`` spawn
-    workers, parallel CI shards) each produce their own uniquely-named
-    segment; loading is a fold over all segments, so merging is
-    order-independent.  When the segment count passes
-    :data:`COMPACT_SEGMENTS`, close() rewrites the store as a single
-    segment and unlinks the old files (a crash mid-compaction leaves
-    duplicate entries, which the loading fold dedups harmlessly).
+The segments are a :class:`repro.segmentlog.SegmentLog`, which owns
+their layout, crash safety and compaction.  Each handle queues its
+verdicts and publishes them as one sealed segment at :meth:`close`
+(``--jobs`` spawn workers ship theirs to the parent instead, through
+:meth:`CertStore.drain` / :meth:`CertStore.absorb`).
 """
 
 from __future__ import annotations
@@ -43,11 +37,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import tempfile
 from hashlib import blake2b
 from typing import Optional
 
 from ..lang.interp import WhileThread
+from ..segmentlog import COMPACT_SEGMENTS, SegmentLog  # noqa: F401
 from .semantics import SEMANTICS_VERSION
 from .thread import PsConfig
 
@@ -55,9 +49,6 @@ STORE_SCHEMA = "repro-certstore/1"
 SEGMENT_HEADER = "repro-cert-store/1"
 DEFAULT_DIR = ".repro-cache"
 ENV_DIR = "REPRO_CACHE_DIR"
-
-#: close() compacts the store once it holds more than this many segments.
-COMPACT_SEGMENTS = 16
 
 #: ``PsConfig`` fields that cannot change a certification verdict —
 #: cache toggles and exploration bounds.  Everything else (including
@@ -114,6 +105,18 @@ def cert_digest(structural_key, fingerprint: str) -> Optional[str]:
                    digest_size=_DIGEST_SIZE).hexdigest()
 
 
+def _parse_record(line: str) -> Optional[tuple[str, bool]]:
+    """One ``<digest> <0|1>`` record line, or ``None`` when malformed."""
+    fields = line.split(" ")
+    if len(fields) != 2 or fields[1] not in ("0", "1"):
+        return None
+    digest = fields[0]
+    if len(digest) != 2 * _DIGEST_SIZE \
+            or not all(c in "0123456789abcdef" for c in digest):
+        return None
+    return digest, fields[1] == "1"
+
+
 class CertStore:
     """One open handle on the on-disk store; see the module docstring.
 
@@ -138,65 +141,11 @@ class CertStore:
         self.misses = 0
         self.writes = 0
         self._closed = False
-        self._load()
-
-    # -- segment I/O ------------------------------------------------------
-
-    def _segments(self) -> list[str]:
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return []
-        return sorted(os.path.join(self.directory, name)
-                      for name in names
-                      if name.startswith("segment-") and name.endswith(".seg"))
-
-    def _load(self) -> None:
-        for path in self._segments():
-            self._load_segment(path, self.entries)
-
-    @staticmethod
-    def _load_segment(path: str, into: dict[str, bool]) -> bool:
-        """Fold one segment file into ``into``; returns whether the file
-        carried the current semantics header.  Any malformed line —
-        truncation, garbage, wrong field count — is skipped: corruption
-        degrades to a miss, never a crash or a wrong verdict."""
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                header = fh.readline().rstrip("\n").split(" ")
-                if header != [SEGMENT_HEADER, SEMANTICS_VERSION]:
-                    return False
-                for line in fh:
-                    if not line.endswith("\n"):
-                        continue  # truncated final line
-                    fields = line[:-1].split(" ")
-                    if len(fields) != 2 or fields[1] not in ("0", "1"):
-                        continue
-                    digest = fields[0]
-                    if len(digest) != 2 * _DIGEST_SIZE \
-                            or not all(c in "0123456789abcdef"
-                                       for c in digest):
-                        continue
-                    into[digest] = fields[1] == "1"
-        except OSError:
-            return False
-        return True
-
-    def _write_segment(self, entries: dict[str, bool]) -> Optional[str]:
-        if not entries:
-            return None
-        os.makedirs(self.directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix="segment-", suffix=".tmp",
-                                   dir=self.directory)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(f"{SEGMENT_HEADER} {SEMANTICS_VERSION}\n")
-            for digest in sorted(entries):
-                fh.write(f"{digest} {1 if entries[digest] else 0}\n")
-        final = os.path.join(
-            self.directory,
-            f"segment-{os.getpid()}-{os.path.basename(tmp)[8:-4]}.seg")
-        os.replace(tmp, final)
-        return final
+        self._log = SegmentLog(directory, "segment-", ".seg",
+                               f"{SEGMENT_HEADER} {SEMANTICS_VERSION}",
+                               _parse_record)
+        for _path, _offset, (digest, verdict) in self._log.scan():
+            self.entries[digest] = verdict
 
     # -- lookup / update --------------------------------------------------
 
@@ -255,9 +204,9 @@ class CertStore:
         if self._closed:
             return
         self._closed = True
-        self._write_segment(self.pending)
-        if len(self._segments()) > COMPACT_SEGMENTS:
-            self._compact()
+        self._log.write(f"{digest} {1 if verdict else 0}"
+                        for digest, verdict in sorted(self.pending.items()))
+        self._log.close()
         if self.hits or self.misses or self.writes or self.pending:
             # Verdicts of ended runs sit in both dicts.
             entries = len(self.entries) + sum(
@@ -266,19 +215,6 @@ class CertStore:
                            "writes": self.writes, "entries": entries})
         self.pending = {}
         self._run = {}
-
-    def _compact(self) -> None:
-        segments = self._segments()
-        merged: dict[str, bool] = {}
-        for path in segments:
-            self._load_segment(path, merged)
-        if self._write_segment(merged) is None:
-            return
-        for path in segments:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
 
     def _history(self, record: dict) -> None:
         try:
@@ -292,13 +228,7 @@ class CertStore:
     # -- maintenance (the ``repro cache`` subcommand) ---------------------
 
     def size_bytes(self) -> int:
-        total = 0
-        for path in self._segments():
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                pass
-        return total
+        return self._log.size_bytes()
 
     def stats(self) -> dict:
         history = self.read_history()
@@ -307,7 +237,7 @@ class CertStore:
             "directory": self.directory,
             "semantics": SEMANTICS_VERSION,
             "entries": len(self.entries),
-            "segments": len(self._segments()),
+            "segments": len(self._log.paths()),
             "size_bytes": self.size_bytes(),
             "history": history[-50:],
         }
@@ -331,11 +261,7 @@ class CertStore:
     def clear(self) -> int:
         """Drop every segment; returns how many entries were removed."""
         removed = len(self.entries)
-        for path in self._segments():
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        self._log.clear()
         self.entries = {}
         self.pending = {}
         self._run = {}
@@ -346,24 +272,11 @@ class CertStore:
         """Reap stale-semantics segments, compact, and enforce the size
         cap (a cache over budget is dropped wholesale — every entry is
         recomputable)."""
-        stale = 0
-        for path in self._segments():
-            probe: dict[str, bool] = {}
-            if not self._load_segment(path, probe):
-                stale += 1
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-        self._compact()
+        stale = self._log.compact()
         dropped = 0
         if self.size_bytes() > max_mb * 1024 * 1024:
             dropped = len(self.entries)
-            for path in self._segments():
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+            self._log.clear()
             self.entries = {}
         result = {"event": "gc", "stale_segments": stale,
                   "dropped_entries": dropped,

@@ -282,8 +282,9 @@ def _run_parallel(worker, items, jobs: int,
 
 #: The keys (and order) of one ``repro litmus --format json`` row.  The
 #: CLI and the verification service both select these from
-#: :func:`litmus_case_worker` payloads, which is what makes HTTP and CLI
-#: verdicts byte-identical.
+#: :func:`litmus_case_worker` payloads, and the service client from the
+#: rows it receives, which is what makes HTTP and CLI verdicts
+#: byte-identical.
 LITMUS_ROW_KEYS = ("case", "expected", "measured", "agree", "complete",
                    "incomplete_reasons", "game_states")
 

@@ -245,6 +245,7 @@ def run_litmus(base: str, extended: bool = False,
     gate reads these.  Returns the CLI's exit status (1 on mismatch).
     """
     from ..litmus import ALL_TRANSFORMATION_CASES, EXTENDED_CASES
+    from ..runner import LITMUS_ROW_KEYS
 
     sink = out if out is not None else sys.stdout
     cases = EXTENDED_CASES if extended else ALL_TRANSFORMATION_CASES
@@ -265,7 +266,9 @@ def run_litmus(base: str, extended: bool = False,
                                f"job {entry['job']} "
                                f"{status.get('state')}: "
                                f"{status.get('error')}")
-        row = status["result"]
+        # A row served from the verdict segments has sorted keys; pick
+        # them in the CLI's order.
+        row = {key: status["result"][key] for key in LITMUS_ROW_KEYS}
         rows.append(row)
         mismatches += not row["agree"]
         incomplete = (",".join(row["incomplete_reasons"]) or "-"

@@ -9,8 +9,10 @@ by the request's content address (:func:`repro.serve.jobs.request_digest`
 query is answered straight from the index without ever spawning a
 worker; that is the service's memcache story.
 
-Layout mirrors the cert store and shares its directory (``--store``,
-default the cert store's resolved dir)::
+It shares the cert store's directory (``--store``, default the cert
+store's resolved dir) and its on-disk design: the segments are a
+:class:`repro.segmentlog.SegmentLog`, which owns their layout, crash
+safety and compaction::
 
     verdict-<pid>-<n>.vseg   one header line, then one JSON object per
                              line: {"d": digest, "k": kind, "r": result}
@@ -18,10 +20,10 @@ default the cert store's resolved dir)::
 Unlike the cert store, a service process is long-running and may be
 killed at any point, so entries are **appended and flushed per line**
 (the NDJSON stream discipline) instead of buffered until close — a
-``kill -9`` loses at most a partial trailing line, which the loader
-skips.  Segments written under another semantics version are ignored
-on load and reaped by :meth:`gc`.  Loading folds all segments, so
-concurrent service instances sharing a directory merge harmlessly.
+``kill -9`` loses at most a partial trailing line.  Concurrent service
+instances sharing a directory each append to their own segment, and
+compaction leaves alone a segment that a live instance is still
+appending to.
 
 Memory model (ROADMAP item 1): the store no longer pins every parsed
 result in memory.  Load time builds a **digest → (segment, byte
@@ -42,23 +44,34 @@ pool-result callbacks all touch one handle.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 from collections import OrderedDict
-from typing import IO, Optional
+from typing import Optional
 
 from ..psna.semantics import SEMANTICS_VERSION
+from ..segmentlog import SegmentLog
 
 VERDICT_SCHEMA = "repro-verdict/1"
 SEGMENT_HEADER = "repro-verdict-store/1"
 
-#: ``close()`` compacts once the directory holds more segments than this.
-COMPACT_SEGMENTS = 16
-
 #: Default capacity of the parsed-result LRU (entries, not bytes —
 #: verdict payloads are litmus rows / adequacy verdicts of a few KB).
 DEFAULT_LRU_ENTRIES = 1024
+
+
+def _parse_record(line: str) -> Optional[tuple[str, dict]]:
+    """The digest and result of one record line, or ``None`` when the
+    line is malformed."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(record, dict):
+        return None
+    digest, result = record.get("d"), record.get("r")
+    if isinstance(digest, str) and isinstance(result, dict):
+        return digest, result
+    return None
 
 
 class VerdictStore:
@@ -80,131 +93,13 @@ class VerdictStore:
         self.lru_hits = 0
         self.lru_misses = 0
         self._lock = threading.Lock()
-        self._segment: Optional[IO[str]] = None
-        self._segment_path: Optional[str] = None
         self._closed = False
-        self._load()
-
-    # -- segment I/O ------------------------------------------------------
-
-    def _segments(self) -> list[str]:
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return []
-        return sorted(os.path.join(self.directory, name)
-                      for name in names
-                      if name.startswith("verdict-")
-                      and name.endswith(".vseg"))
-
-    def _load(self) -> None:
-        for path in self._segments():
-            self._index_segment(path, self._index)
-
-    @staticmethod
-    def _index_segment(path: str,
-                       index: dict[str, tuple[Optional[str], int]]) -> bool:
-        """Fold one segment's record *offsets* into ``index``; returns
-        whether it carried the current semantics header.  Malformed
-        lines (truncation, garbage) are skipped — corruption degrades
-        to a miss, never a crash.  Results are not retained: the LRU
-        starts cold and fills on demand."""
-        try:
-            with open(path, "rb") as fh:
-                header_line = fh.readline()
-                header = (header_line.decode("utf-8", errors="replace")
-                          .rstrip("\n").split(" "))
-                if header != [SEGMENT_HEADER, SEMANTICS_VERSION]:
-                    return False
-                offset = len(header_line)
-                for raw in fh:
-                    line_offset, offset = offset, offset + len(raw)
-                    if not raw.endswith(b"\n"):
-                        continue  # partial trailing line (killed writer)
-                    try:
-                        record = json.loads(
-                            raw.decode("utf-8", errors="replace"))
-                    except ValueError:
-                        continue
-                    if not isinstance(record, dict):
-                        continue
-                    digest = record.get("d")
-                    if (isinstance(digest, str)
-                            and isinstance(record.get("r"), dict)):
-                        index[digest] = (path, line_offset)
-        except OSError:
-            return False
-        return True
-
-    @staticmethod
-    def _load_segment(path: str, into: dict[str, dict]) -> bool:
-        """Fold one segment's parsed records into ``into`` (the
-        compaction/GC path, which genuinely needs every result)."""
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                header = fh.readline().rstrip("\n").split(" ")
-                if header != [SEGMENT_HEADER, SEMANTICS_VERSION]:
-                    return False
-                for line in fh:
-                    if not line.endswith("\n"):
-                        continue  # partial trailing line (killed writer)
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue
-                    if not isinstance(record, dict):
-                        continue
-                    digest = record.get("d")
-                    result = record.get("r")
-                    if isinstance(digest, str) and isinstance(result, dict):
-                        into[digest] = {"kind": record.get("k"),
-                                        "result": result}
-        except OSError:
-            return False
-        return True
-
-    def _read_entry(self, path: Optional[str],
-                    offset: int) -> Optional[dict]:
-        """Re-read one record line by seek; None on any corruption."""
-        if path is None:
-            return None
-        try:
-            with open(path, "rb") as fh:
-                fh.seek(offset)
-                raw = fh.readline()
-        except OSError:
-            return None
-        if not raw.endswith(b"\n"):
-            return None
-        try:
-            record = json.loads(raw.decode("utf-8", errors="replace"))
-        except ValueError:
-            return None
-        if not isinstance(record, dict):
-            return None
-        result = record.get("r")
-        return result if isinstance(result, dict) else None
-
-    def _open_segment(self) -> Optional[IO[str]]:
-        if self._segment is not None:
-            return self._segment
-        try:
-            os.makedirs(self.directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix="verdict-", suffix=".tmp",
-                                       dir=self.directory)
-            handle = os.fdopen(fd, "w", encoding="utf-8")
-            handle.write(f"{SEGMENT_HEADER} {SEMANTICS_VERSION}\n")
-            handle.flush()
-            final = os.path.join(
-                self.directory,
-                f"verdict-{os.getpid()}-"
-                f"{os.path.basename(tmp)[8:-4]}.vseg")
-            os.replace(tmp, final)
-        except OSError:
-            return None
-        self._segment = handle
-        self._segment_path = final
-        return handle
+        self._log = SegmentLog(directory, "verdict-", ".vseg",
+                               f"{SEGMENT_HEADER} {SEMANTICS_VERSION}",
+                               _parse_record)
+        # Offsets only: the LRU starts cold and fills on demand.
+        for path, offset, (digest, _result) in self._log.scan():
+            self._index[digest] = (path, offset)
 
     # -- LRU --------------------------------------------------------------
 
@@ -239,9 +134,10 @@ class VerdictStore:
                 self.hits += 1
                 return cached
             self.lru_misses += 1
-            result = self._read_entry(*location)
-            if result is None:
-                result = self._resident.get(digest)
+            path, offset = location
+            record = self._log.read_at(path, offset) if path else None
+            result = record[1] if record is not None \
+                else self._resident.get(digest)
             if result is None:
                 # Segment vanished or rotted under us: an honest miss.
                 self.misses += 1
@@ -265,91 +161,22 @@ class VerdictStore:
             # a later disk read would parse), keeping warm/cold and
             # LRU-on/off responses identical.
             parsed = json.loads(line)["r"]
-            handle = self._open_segment()
-            written = False
-            if handle is not None:
-                try:
-                    offset = handle.tell()
-                    handle.write(line)
-                    handle.write("\n")
-                    handle.flush()
-                    self._index[digest] = (self._segment_path, offset)
-                    written = True
-                except OSError:
-                    pass
-            if not written:
+            try:
+                self._index[digest] = self._log.append(line)
+            except OSError:
                 self._index[digest] = (None, -1)
                 self._resident[digest] = parsed
             self._lru_put(digest, parsed)
             return True
 
-    # -- lifecycle / maintenance -----------------------------------------
+    # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            if self._segment is not None:
-                try:
-                    self._segment.flush()
-                    self._segment.close()
-                except OSError:
-                    pass
-                self._segment = None
-            if len(self._segments()) > COMPACT_SEGMENTS:
-                self._compact()
-
-    def _compact(self) -> None:
-        segments = self._segments()
-        merged: dict[str, dict] = {}
-        for path in segments:
-            self._load_segment(path, merged)
-        try:
-            fd, tmp = tempfile.mkstemp(prefix="verdict-", suffix=".tmp",
-                                       dir=self.directory)
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(f"{SEGMENT_HEADER} {SEMANTICS_VERSION}\n")
-                for digest in sorted(merged):
-                    entry = merged[digest]
-                    fh.write(json.dumps({"d": digest, "k": entry["kind"],
-                                         "r": entry["result"]},
-                                        sort_keys=True) + "\n")
-            final = os.path.join(
-                self.directory,
-                f"verdict-{os.getpid()}-"
-                f"{os.path.basename(tmp)[8:-4]}.vseg")
-            os.replace(tmp, final)
-        except OSError:
-            return
-        for path in segments:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    def gc(self) -> dict:
-        """Reap stale-semantics segments; returns counts."""
-        with self._lock:
-            stale = 0
-            for path in self._segments():
-                probe: dict[str, dict] = {}
-                if not self._load_segment(path, probe):
-                    stale += 1
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-            return {"stale_segments": stale}
-
-    def size_bytes(self) -> int:
-        total = 0
-        for path in self._segments():
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                pass
-        return total
+            self._log.close()
 
     def stats(self) -> dict:
         """The ``repro-verdict/1`` stats payload (also an endpoint body)."""
@@ -360,8 +187,8 @@ class VerdictStore:
                 "directory": self.directory,
                 "semantics": SEMANTICS_VERSION,
                 "entries": len(self._index),
-                "segments": len(self._segments()),
-                "size_bytes": self.size_bytes(),
+                "segments": len(self._log.paths()),
+                "size_bytes": self._log.size_bytes(),
                 "hits": self.hits,
                 "misses": self.misses,
                 "writes": self.writes,

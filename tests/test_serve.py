@@ -384,6 +384,24 @@ class TestHTTPFrontEnd:
         assert warm_stats["hit_rate"] == 1.0
         assert warm_sink.getvalue() == sink.getvalue()
 
+    def test_litmus_catalog_is_byte_identical_after_a_restart(
+            self, live, tmp_path):
+        """A new service over the same store answers every case from
+        the verdict segments on disk; the stored rows come back with
+        sorted keys and must still render the cold pass's bytes."""
+        store_dir = str(tmp_path / "restart")
+        base, cold = live(jobs=2, store_dir=store_dir)
+        sink = io.StringIO()
+        assert client.run_litmus(base, as_json=True, out=sink) == 0
+        cold.shutdown(drain=True, timeout=60.0)
+        base, _warm = live(jobs=1, store_dir=store_dir)
+        stats: dict = {}
+        restart_sink = io.StringIO()
+        assert client.run_litmus(base, as_json=True, out=restart_sink,
+                                 cache_stats=stats) == 0
+        assert stats["cached"] == stats["total"]
+        assert restart_sink.getvalue() == sink.getvalue()
+
     def test_warm_batch_reports_store_hits(self, live):
         base, _svc = live()
         specs = [{"kind": "litmus", "case": case.name}
