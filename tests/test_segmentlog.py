@@ -266,6 +266,8 @@ def test_live_handle_keeps_verdicts_across_peer_compaction(view, tmp_path):
 
 
 ROUNDS = 12
+#: More processes than the two cores CI runners have.
+WORKERS = (1, 2, 3)
 
 
 def _churn(view_id, directory, worker, barrier):
@@ -279,7 +281,7 @@ def _churn(view_id, directory, worker, barrier):
         view.put(live, key(worker, 2 * r + 1))
         # A handle opened during a compaction may miss, never differ.
         present(view, view.open(directory),
-                [key(w, i) for w in (1, 2) for i in range(2 * r + 2)])
+                [key(w, i) for w in WORKERS for i in range(2 * r + 2)])
     view.close(live)
 
 
@@ -287,17 +289,17 @@ def _churn(view_id, directory, worker, barrier):
 def test_spawned_processes_append_and_compact_at_once(view, tmp_path):
     directory = str(tmp_path / "store")
     context = multiprocessing.get_context("spawn")
-    barrier = context.Barrier(2)
+    barrier = context.Barrier(len(WORKERS))
     workers = [context.Process(target=_churn,
                                args=(view.id, directory, worker, barrier))
-               for worker in (1, 2)]
+               for worker in WORKERS]
     for process in workers:
         process.start()
     for process in workers:
         process.join(timeout=120)
     assert [(p.is_alive(), p.exitcode) for p in workers] \
-        == [(False, 0), (False, 0)]
-    everything = [key(w, i) for w in (1, 2) for i in range(2 * ROUNDS)]
+        == [(False, 0)] * len(WORKERS)
+    everything = [key(w, i) for w in WORKERS for i in range(2 * ROUNDS)]
     assert present(view, view.open(directory), everything) \
         == set(everything)
 
