@@ -26,6 +26,12 @@ Usage::
 The module-level session is intentionally process-global (like logging):
 instrumented library code must not need a handle threaded through every
 call.  Nested sessions are rejected — the CLI owns the session.
+
+A case that runs in another process records into a session of its own
+and hands the result back in one picklable dict: the parent session's
+:meth:`ObsSession.worker_spec` opens the worker's session,
+:meth:`ObsSession.export` packs what it recorded, and the parent's
+:meth:`ObsSession.absorb` folds that in (see :mod:`repro.runner`).
 """
 
 from __future__ import annotations
@@ -65,13 +71,20 @@ __all__ = [
 ]
 
 
+#: The recorders a worker ships back as ``snapshot()`` sections and the
+#: parent folds in with ``merge_snapshot``, in fold order.
+_RECORDERS = ("metrics", "attrib", "graph", "monitor")
+
+
 class ObsSession:
     """One observability session: a metrics registry plus a trace sink.
 
-    Optionally carries a :class:`GraphRecorder` (state-space graph
-    telemetry) and an :class:`EventStream` (live NDJSON events plus the
-    flight-recorder ring); both are ``None`` unless requested, and the
-    instrumented loops skip every hook when they are.
+    Optionally carries an :class:`AttribRecorder` (per-stack time
+    attribution), a :class:`GraphRecorder` (state-space graph
+    telemetry), a :class:`Monitor` (runtime invariant checks) and an
+    :class:`EventStream` (live NDJSON events plus the flight-recorder
+    ring); each is ``None`` unless requested, and the instrumented
+    loops skip every hook when it is.
     """
 
     def __init__(self, sink: TraceSink = NULL_SINK,
@@ -101,6 +114,56 @@ class ObsSession:
             self.sink.emit(payload)
         if self.events is not None:
             self.events.emit("event", name=name, **fields)
+
+    # -- the worker hand-off ----------------------------------------------
+
+    def worker_spec(self) -> dict:
+        """The :func:`session` keywords under which a worker records
+        what this session records.  The monitor travels as its
+        ``--monitor`` spelling, so each task opens a fresh one."""
+        spec: dict = {}
+        if self.attrib is not None:
+            spec["attrib"] = True
+        if self.graph is not None:
+            spec["graph"] = True
+        if self.events is not None:
+            spec["stream"] = True
+        if self.monitor is not None:
+            spec["monitor"] = self.monitor.spec
+        return spec
+
+    def export(self) -> dict:
+        """What this session recorded, as one picklable dict: a
+        ``snapshot()`` section per recorder that is on, plus the drained
+        event ring under ``"events"``.  Call it before the session
+        closes: closing appends the ``coverage`` event."""
+        shipment = {}
+        for name in _RECORDERS:
+            recorder = getattr(self, name)
+            if recorder is not None:
+                shipment[name] = recorder.snapshot()
+        if self.events is not None:
+            shipment["events"] = self.events.drain()
+        return shipment
+
+    def absorb(self, shipment: dict, **tags) -> None:
+        """Fold a worker's :meth:`export` in: each section through its
+        recorder's ``merge_snapshot``, then the events replayed into
+        this session's stream with ``tags`` added (a ``worker-drop``
+        event first when the worker's ring overflowed)."""
+        for name in _RECORDERS:
+            recorder = getattr(self, name)
+            section = shipment.get(name)
+            if recorder is not None and section is not None:
+                recorder.merge_snapshot(section)
+        drained = shipment.get("events")
+        if self.events is None or drained is None:
+            return
+        if drained["dropped"]:
+            self.events.emit("worker-drop", dropped=drained["dropped"],
+                             **tags)
+        for event in drained["events"]:
+            self.events.replay(event, **tags)
 
     def close(self) -> None:
         if self.events is not None and not self.events.closed:
@@ -194,7 +257,7 @@ def stop() -> Optional[ObsSession]:
     current, _ACTIVE = _ACTIVE, None
     if current is not None:
         if _COLLECTOR is not None:
-            _COLLECTOR.merge(current.metrics)
+            _COLLECTOR.merge_snapshot(current.metrics.snapshot())
         current.close()
     return current
 

@@ -15,9 +15,9 @@ Determinism contract (CI-checked): the *set* of stacks is a pure
 function of the workload — spans and rules fire deterministically — so
 two runs produce identical stack sets and only the sample weights
 (seconds) differ.  This holds across ``--jobs`` values too: worker
-processes record frames in their own sessions and the parent merges
-them with :func:`merge_frames`, which is commutative and keyed only by
-stack.
+processes record frames in their own sessions and the parent folds them
+in with :meth:`AttribRecorder.merge_snapshot`, which is commutative and
+keyed only by stack.
 
 Two export formats:
 
@@ -95,22 +95,17 @@ class AttribRecorder:
         """A picklable copy: stack tuple -> (self_s, total_s, visits)."""
         return {stack: tuple(stat) for stack, stat in self.frames.items()}
 
-
-def merge_frames(into: AttribRecorder, frames: dict) -> None:
-    """Fold a :meth:`AttribRecorder.snapshot` into ``into``.
-
-    The cross-process bridge of the parallel sweep runner: workers ship
-    their frames as plain dicts and the parent folds them in here, in
-    completion order — the merge is commutative, so the result is
-    independent of worker scheduling.
-    """
-    for stack, (self_s, total_s, visits) in frames.items():
-        stat = into.frames.get(stack)
-        if stat is None:
-            stat = into.frames[stack] = [0.0, 0.0, 0]
-        stat[0] += self_s
-        stat[1] += total_s
-        stat[2] += visits
+    def merge_snapshot(self, frames: dict) -> None:
+        """Fold a worker's :meth:`snapshot` in.  The merge adds per
+        stack, so it is commutative: the result does not depend on the
+        order in which workers finish."""
+        for stack, (self_s, total_s, visits) in frames.items():
+            stat = self.frames.get(stack)
+            if stat is None:
+                stat = self.frames[stack] = [0.0, 0.0, 0]
+            stat[0] += self_s
+            stat[1] += total_s
+            stat[2] += visits
 
 
 def _rule_phase(rule_counter: str) -> Optional[tuple[str, ...]]:

@@ -8,9 +8,12 @@ dicts, no locks, no background threads): the checkers are
 single-threaded per process, and the hot loops accumulate into *local*
 integers and flush once per run, so the registry is never on a hot path.
 
-Snapshots are plain JSON-serializable dicts; :func:`diff_snapshots`
-subtracts two snapshots, which is how the CLI derives per-litmus-case
-tables from one shared registry.
+Snapshots are plain JSON-serializable dicts.
+:meth:`MetricsRegistry.merge_snapshot` folds one in, which is how a
+worker's metrics join the parent session and how the ``collect_into``
+collector accumulates sessions; :func:`diff_snapshots` subtracts two,
+which is how the CLI derives per-litmus-case tables from one shared
+registry.
 """
 
 from __future__ import annotations
@@ -101,25 +104,14 @@ class MetricsRegistry:
                            for name, h in self.histograms.items()},
         }
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        for name, value in other.counters.items():
-            self.inc(name, value)
-        for name, value in other.gauges.items():
-            self.gauge(name, value)
-        for name, histogram in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = self.histograms[name] = Histogram()
-            mine.merge(histogram)
-
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` dict into this registry.
 
-        The inverse bridge of :meth:`snapshot`: worker processes ship
-        their metrics across process boundaries as plain snapshot dicts
-        (registries hold no handles, but snapshots are already JSON-safe
-        and picklable by construction), and the parent folds them in
-        here.  Histogram summaries merge count/sum/min/max exactly.
+        The inverse of :meth:`snapshot`: worker processes ship their
+        metrics across process boundaries as plain snapshot dicts
+        (JSON-safe and picklable by construction), and the parent folds
+        them in here.  Histogram summaries merge count/sum/min/max
+        exactly.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.inc(name, value)
@@ -135,11 +127,6 @@ class MetricsRegistry:
             other.min = summary.get("min")
             other.max = summary.get("max")
             histogram.merge(other)
-
-    def clear(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
 
 
 def diff_snapshots(before: dict, after: dict) -> dict:

@@ -390,6 +390,12 @@ class Monitor:
         mode, stride = parse_monitor_spec(spec)
         return cls(mode, stride)
 
+    @property
+    def spec(self) -> str:
+        """The ``--monitor`` spelling :meth:`from_spec` rebuilds this
+        monitor's mode and stride from."""
+        return "strict" if self.mode == "strict" else f"sample:{self.stride}"
+
     # -- probes ------------------------------------------------------------
 
     def probe(self, scope: str, config=None) -> "MonitorProbe":

@@ -1,28 +1,23 @@
-"""Request-scoped telemetry: trace contexts across process boundaries.
+"""Request-scoped telemetry: one trace per service request.
 
-The batch observability stack (:mod:`repro.obs`) stops at the process
-edge: sessions, spans, and event streams are per-process, and worker
-artifacts merge back *anonymously* — fine for sweeps, useless for a
-service, where the operative question is "what happened to *this*
-request".  This module adds the request-scoped layer:
+The batch observability stack (:mod:`repro.obs`) answers "what did this
+run do"; a service must answer "what happened to *this* request".  This
+module adds the request-scoped layer:
 
 * a **trace id** names one request end to end — minted at submission
-  (or adopted from the client's ``X-Repro-Trace`` header), carried
-  through normalization, queueing, and store consults, across the
-  spawn-pool pickle boundary into :mod:`repro.runner` workers, and
-  back out with the worker's drained events;
+  (or adopted from the client's ``X-Repro-Trace`` header) and carried
+  through normalization, store consult, queueing, execution and
+  rendering;
 * a **span id** names one timed phase inside the trace.  Completed
   phases serialize as ``repro-trace/1``-compatible span records
   (``{"ev": "span", "name", "t", "dur_s", "depth"}``) extended with
   ``trace``/``span``/``parent`` fields, so every existing trace
   consumer (``repro query``, the explainer) reads them unchanged.
 
-:class:`TraceContext` is the picklable hand-off: the service ships one
-in the worker task tuple, :func:`repro.runner._subprocess_entry` binds
-it (:func:`bind`/:func:`current`) for the duration of the task, and
-:func:`stamp_events` tags the worker's drained event ring with the
-originating trace id before it crosses back — which is how a span that
-fired two processes away still answers to its request.
+No trace context crosses into a pool worker.  The worker records its
+spans into its own session like any other case; the service stamps and
+re-parents them itself when they come back (:meth:`repro.serve.service.
+VerificationService._complete_job`).
 
 :class:`JobTrace` assembles one request's record set on the service
 side: phase records are appended as the job moves through the
@@ -39,7 +34,6 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .trace import TRACE_SCHEMA
@@ -74,42 +68,6 @@ def sanitize_trace_id(value: Optional[str]) -> Optional[str]:
     return value
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """The picklable cross-process hand-off: which trace, which span.
-
-    ``span_id`` is the span the receiving process works *under* (the
-    service's ``serve.execute`` span); anything the worker records
-    belongs to ``trace_id`` with ``span_id`` as its parent.
-    """
-
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str] = None
-
-
-# One slot per process: the worker-pool processes execute one task at a
-# time, and the service binds/clears around each task.
-_CURRENT: Optional[TraceContext] = None
-
-
-def bind(context: TraceContext) -> TraceContext:
-    """Install ``context`` as this process's active trace context."""
-    global _CURRENT
-    _CURRENT = context
-    return context
-
-
-def current() -> Optional[TraceContext]:
-    """The active trace context, or None outside a traced task."""
-    return _CURRENT
-
-
-def clear() -> None:
-    global _CURRENT
-    _CURRENT = None
-
-
 def span_record(name: str, t: float, dur_s: float, depth: int = 0,
                 trace: Optional[str] = None, span: Optional[str] = None,
                 parent: Optional[str] = None, **fields) -> dict:
@@ -124,22 +82,6 @@ def span_record(name: str, t: float, dur_s: float, depth: int = 0,
         record["parent"] = parent
     record.update(fields)
     return record
-
-
-def stamp_events(drained: Optional[dict],
-                 context: Optional[TraceContext]) -> Optional[dict]:
-    """Tag a drained worker event ring with its originating trace.
-
-    Runs on the worker side of the pickle boundary, after the obs
-    session drained its ring: every event gains a ``trace`` field (the
-    request's id) so replays into the parent job stream arrive already
-    attributed.  Events that somehow carry a trace keep it.
-    """
-    if drained is None or context is None:
-        return drained
-    for event in drained.get("events", ()):
-        event.setdefault("trace", context.trace_id)
-    return drained
 
 
 class JobTrace:
@@ -183,13 +125,6 @@ class JobTrace:
         job completion)."""
         with self._lock:
             self._records.append(record)
-
-    def child_context(self, span_id: Optional[str] = None) -> TraceContext:
-        """The picklable hand-off for a worker executing under this
-        trace (``span_id`` defaults to a fresh one)."""
-        return TraceContext(trace_id=self.trace_id,
-                            span_id=span_id or new_span_id(),
-                            parent_id=self.root_id)
 
     def close(self, name: str = "serve.request", **fields) -> None:
         """Seal the root span: one depth-0 record covering the whole

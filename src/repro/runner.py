@@ -8,13 +8,17 @@ the exact serial code path) or across a ``multiprocessing`` spawn pool,
 and in both modes returns ``(payload, counters)`` pairs *in descriptor
 order*, so callers render byte-identical output regardless of ``jobs``.
 
-Observability composes across the process boundary: each worker runs its
-case inside its own :func:`repro.obs.session`, ships the resulting
-metrics snapshot back (snapshots are plain dicts, picklable by
-construction), and the parent folds it into its active registry via
-:meth:`MetricsRegistry.merge_snapshot` — the same merge discipline the
-``obs.collect_into`` collector uses inside one process.  Trace *events*
-are per-process and not forwarded; counters and histograms are.
+Observability composes across the process boundary.  A pool task is
+``(worker, descriptor, spec)``, where ``spec`` is the parent session's
+:meth:`repro.obs.ObsSession.worker_spec`.  :func:`run_task` runs the
+case inside a fresh :func:`repro.obs.session` opened with ``spec`` and
+returns the payload with the session's :meth:`~repro.obs.ObsSession.
+export`: metrics, attribution frames, graph stats, monitor counts and
+the drained event ring, as one picklable dict.  The parent folds each
+export in with :meth:`~repro.obs.ObsSession.absorb`, in descriptor
+order, so events replay tagged with their case index.  The
+verification service runs its jobs through the same :func:`run_task`,
+in process at ``--jobs 1`` and in its pool otherwise.
 
 Spawn-safety: workers are module-level functions (pickled by qualified
 name) over primitive descriptors, so the pool works identically under
@@ -32,8 +36,6 @@ from multiprocessing import get_context
 from typing import Callable, Optional, Sequence
 
 from . import obs
-from .obs import telemetry
-from .obs.attrib import merge_frames
 from .psna import certstore
 
 #: One sweep result: the worker's payload plus the counters its case
@@ -163,58 +165,30 @@ def _run_serial(worker, items, progress=None) -> list[SweepResult]:
     return results
 
 
-def _subprocess_entry(task):
-    """Pool entry point: run one case inside a fresh obs session.
+def run_task(task) -> tuple[object, dict]:
+    """Run one case in a fresh obs session, in the calling process.
 
-    The worker session mirrors the parent's attribution setting: spans
-    record against a fresh (empty) span stack, which matches the serial
-    CLI path — commands do not wrap sweeps in an enclosing span — so
-    frame stacks are identical across ``--jobs`` values.
-
-    Graph telemetry travels as a stats-only snapshot (elements stay in
-    the worker — element ids are process-local); events travel as the
-    worker's drained ring, replayed into the parent stream tagged with
-    the case index so the merged stream is deterministic in descriptor
-    order.
-
-    Tasks dispatched by the verification service carry an optional
-    trailing :class:`repro.obs.telemetry.TraceContext` — the request's
-    trace id crossing the pickle boundary.  It is bound for the task's
-    duration and the drained event ring is stamped with the trace id
-    before shipping back, so worker-side spans arrive in the parent
-    already attributed to the originating request.  Sweep tasks omit
-    the element and nothing changes.
+    ``task`` is ``(worker, descriptor, spec)`` with ``spec`` the
+    :func:`repro.obs.session` keywords.  Returns the payload and the
+    session's :meth:`~repro.obs.ObsSession.export`, taken before the
+    session closes.  Spans record against a fresh span stack, which
+    matches the serial CLI path (commands do not wrap sweeps in an
+    enclosing span), so frame stacks are identical across ``--jobs``.
     """
-    worker, descriptor, want_attrib, want_graph, want_events, \
-        monitor_spec, *rest = task
-    trace_context = rest[0] if rest else None
-    checker = None
-    if monitor_spec is not None:
-        # The monitor travels as its (mode, stride) spec — Monitor
-        # objects themselves never cross the process boundary, only
-        # their commutative snapshots do (the --graph-stats discipline).
-        checker = obs.Monitor(monitor_spec[0], monitor_spec[1])
-    if trace_context is not None:
-        telemetry.bind(trace_context)
-    try:
-        with obs.session(attrib=want_attrib, graph=want_graph,
-                         stream=True if want_events else None,
-                         monitor=checker) as session:
-            payload = worker(descriptor)
-            snapshot = session.metrics.snapshot()
-            frames = session.attrib.snapshot() if session.attrib else {}
-            graph_snapshot = session.graph.snapshot() \
-                if session.graph else None
-            events = session.events.drain() if session.events else None
-            monitor_snapshot = session.monitor.snapshot() \
-                if session.monitor else None
-    finally:
-        telemetry.clear()
-    telemetry.stamp_events(events, trace_context)
+    worker, descriptor, spec = task
+    with obs.session(**spec) as session:
+        payload = worker(descriptor)
+        shipment = session.export()
+    return payload, shipment
+
+
+def _subprocess_entry(task):
+    """Pool entry point: :func:`run_task`, then the worker's pending
+    cert-store entries, which the parent's store absorbs and writes.
+    Returns ``(payload, shipment, store_shipment)``."""
+    payload, shipment = run_task(task)
     store = certstore.active()
-    store_shipment = store.drain() if store is not None else None
-    return payload, snapshot, frames, graph_snapshot, events, \
-        monitor_snapshot, store_shipment
+    return payload, shipment, store.drain() if store is not None else None
 
 
 def _worker_init(store_dir) -> None:
@@ -231,44 +205,25 @@ def _worker_init(store_dir) -> None:
 
 def _run_parallel(worker, items, jobs: int,
                   progress=None) -> list[SweepResult]:
-    registry = obs.metrics()
-    recorder = obs.attribution()
-    graph = obs.graph()
-    stream = obs.stream()
-    checker = obs.monitor()
+    session = obs.active()
+    spec = session.worker_spec() if session is not None else {}
     store = certstore.active()
     context = get_context("spawn")
-    tasks = [(worker, descriptor, recorder is not None, graph is not None,
-              stream is not None,
-              (checker.mode, checker.stride) if checker is not None
-              else None)
-             for descriptor in items]
+    tasks = [(worker, descriptor, spec) for descriptor in items]
     results: list[SweepResult] = []
     with context.Pool(processes=min(jobs, len(items)),
                       initializer=_worker_init,
                       initargs=(store.directory if store is not None
                                 else None,)) as pool:
-        for index, (payload, snapshot, frames, graph_snapshot, events,
-                    monitor_snapshot, store_shipment) \
+        for index, (payload, shipment, store_shipment) \
                 in enumerate(pool.imap(_subprocess_entry, tasks)):
-            if registry is not None:
-                registry.merge_snapshot(snapshot)
+            if session is not None:
+                session.absorb(shipment, case=index)
             if store is not None:
                 store.absorb(store_shipment)
-            if recorder is not None and frames:
-                merge_frames(recorder, frames)
-            if graph is not None and graph_snapshot is not None:
-                graph.merge_snapshot(graph_snapshot)
-            if checker is not None and monitor_snapshot is not None:
-                checker.merge_snapshot(monitor_snapshot)
-            if stream is not None and events is not None:
-                if events["dropped"]:
-                    stream.emit("worker-drop", case=index,
-                                dropped=events["dropped"])
-                for event in events["events"]:
-                    stream.replay(event, case=index)
             counters = {name: value
-                        for name, value in snapshot["counters"].items()
+                        for name, value
+                        in shipment["metrics"]["counters"].items()
                         if value}
             results.append((payload, counters))
             if progress is not None:

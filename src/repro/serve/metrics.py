@@ -3,13 +3,12 @@
 The service's operative signals — tail latency, queue saturation,
 cache effectiveness — are distributions and rates, which the batch
 :class:`repro.obs.metrics.Histogram` (count/sum/min/max) cannot
-answer.  This module adds the service-grade layer with the same
-discipline the PR 6 graph stats established: **integer bucket counts
-that merge commutatively**, so two snapshots taken on different worker
-partitions of the same workload fold into byte-identical aggregates,
-and quantiles are *exact functions of the counts* (the upper bound of
-the bucket holding the rank), not interpolations that drift with
-merge order.
+answer.  This module adds the service-grade layer: **integer counts in
+fixed buckets**, with quantiles that are *exact functions of the
+counts* (the upper bound of the bucket holding the rank), not
+interpolations.  The service process records every observation itself,
+whether a job ran in process or in a pool worker, so the same
+submissions give the same counts at any ``--jobs``.
 
 Three surfaces, one source of truth:
 
@@ -53,8 +52,8 @@ from ..psna.semantics import SEMANTICS_VERSION
 SERVEMETRICS_SCHEMA = "repro-servemetrics/1"
 
 #: The fixed latency ladder, in seconds.  Fixed means *fixed*: every
-#: process, worker count, and run buckets identically, which is what
-#: makes bucket counts commutatively mergeable and quantiles stable.
+#: worker count and run buckets identically, which is what keeps bucket
+#: counts and quantiles comparable across runs.
 LATENCY_BUCKETS_S = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                      0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
 
@@ -66,12 +65,10 @@ PROM_PREFIX = "repro_serve_"
 
 
 class BucketHistogram:
-    """Fixed-bucket histogram with exact, merge-stable quantiles.
+    """Fixed-bucket histogram with exact quantiles.
 
     ``counts[i]`` counts observations ``v <= bounds[i]``; the final
-    slot is the overflow bucket (``v > bounds[-1]``).  ``merge`` is
-    element-wise integer addition — commutative and associative, so
-    any partition of a workload folds to the same counts.
+    slot is the overflow bucket (``v > bounds[-1]``).
     ``quantile(q)`` returns the upper bound of the bucket containing
     the ``ceil(q * count)``-th observation (overflow clamps to the
     largest finite bound), an exact function of the counts.
@@ -107,24 +104,6 @@ class BucketHistogram:
                     return self.bounds[index]
                 return self.bounds[-1]
         return self.bounds[-1]
-
-    def merge(self, other: "BucketHistogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for index, bucket in enumerate(other.counts):
-            self.counts[index] += bucket
-        self.total += other.total
-
-    def merge_summary(self, summary: dict) -> None:
-        """Fold a :meth:`summary` dict (one snapshot's worth) in."""
-        if tuple(float(b) for b in summary.get("le", ())) != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        counts = summary.get("counts", ())
-        if len(counts) != len(self.counts):
-            raise ValueError("summary counts length mismatch")
-        for index, bucket in enumerate(counts):
-            self.counts[index] += int(bucket)
-        self.total += float(summary.get("sum", 0.0))
 
     def summary(self) -> dict:
         return {
@@ -195,32 +174,6 @@ class ServiceMetrics:
                 "samples": {name: list(self._samples[name])
                             for name in sorted(self._samples)},
             }
-
-    def merge_snapshot(self, payload: dict) -> None:
-        """Fold another snapshot in: counters and histogram counts add
-        (commutative), gauges keep the max (commutative; a watermark,
-        not a last-writer-wins).  Sample rings are per-process time
-        series and do not merge — they are skipped."""
-        with self._lock:
-            for name, value in payload.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0) + int(value)
-            for name, value in payload.get("gauges", {}).items():
-                value = float(value)
-                if name not in self._gauges or value > self._gauges[name]:
-                    self._gauges[name] = value
-            for name, summary in payload.get("histograms", {}).items():
-                histogram = self._histograms.get(name)
-                if histogram is None:
-                    histogram = self._histograms[name] = BucketHistogram(
-                        summary.get("le", LATENCY_BUCKETS_S))
-                histogram.merge_summary(summary)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._samples.clear()
 
 
 def validate_servemetrics(payload) -> list[str]:

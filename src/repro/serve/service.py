@@ -10,12 +10,14 @@ Life of a job
     live job with the same digest (identical queries share one job id
     and one execution), **consults the verdict store** (a hit creates
     an already-``done`` job, ``cached=True``, without touching the
-    queue), or **enqueues**.  A drainer thread pops the queue and either
-    executes in-process (``jobs <= 1``) or dispatches onto a persistent
-    spawn pool built from :mod:`repro.runner`'s worker machinery
-    (``jobs > 1``) — the same ``_subprocess_entry`` the ``--jobs``
-    sweeps use, so worker observability (metrics snapshots, event
-    rings, cert-store shipments) merges back identically.
+    queue), or **enqueues**.  A drainer thread pops the queue and builds
+    one task for the job, ``(serve_job_worker, canonical request,
+    {"stream": True})``.  At ``jobs <= 1`` it runs the task in process
+    with :func:`repro.runner.run_task`; otherwise it sends the same task
+    to a persistent spawn pool through the ``_subprocess_entry`` the
+    ``--jobs`` sweeps use.  Either way the job comes back as its payload
+    and its session's export (counters and the drained event ring), so
+    both modes finish a job through the same code.
 
 Progress
     Every job carries its own ``repro-events/1`` NDJSON buffer: the
@@ -29,14 +31,17 @@ Progress
 Telemetry
     Every job owns a :class:`repro.obs.telemetry.JobTrace`: phase
     spans for normalization, the store consult, queue wait, worker
-    execution (the trace context crosses the spawn-pool pickle
-    boundary, so worker-side spans come back attributed to the
-    originating trace id), and stream render, sealed by a root
-    ``serve.request`` span — served as ``repro-trace/1`` NDJSON at
-    ``GET /v1/jobs/<id>/trace``.  A :class:`repro.serve.metrics.
+    execution and stream render, sealed by a root ``serve.request``
+    span — served as ``repro-trace/1`` NDJSON at
+    ``GET /v1/jobs/<id>/trace``.  No trace context travels with the
+    task: when the worker's events come back, the service parents its
+    spans on the job's ``serve.execute`` span and stamps every replayed
+    event with the job's trace id.  A :class:`repro.serve.metrics.
     ServiceMetrics` registry (``GET /v1/metrics``) keeps the
     deterministic counters and fixed-bucket latency histograms, plus
     queue-depth/in-flight/utilization gauges sampled by the drainer.
+    The service process records every one of them itself, whichever
+    process ran the job.
     When a verdict store is configured, an append-only **audit
     ledger** (``audit.jsonl`` beside the store segments) records one
     line per submission and one per completion — who asked, what,
@@ -61,7 +66,7 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Optional
 
-from .. import __version__, obs, runner
+from .. import __version__, runner
 from ..obs import telemetry
 from ..obs.events import EventStream
 from ..psna import certstore
@@ -172,8 +177,8 @@ class Job:
     #: perf_counter marks for the queue-wait and execute phase spans.
     enqueued_perf: Optional[float] = None
     execute_started_perf: Optional[float] = None
-    #: Span id of the serve.execute phase, minted at start so the
-    #: worker-side trace context can parent onto it.
+    #: Span id of the serve.execute phase, which the worker's spans
+    #: parent on when they are folded in.
     execute_span: Optional[str] = None
 
     def status(self) -> dict:
@@ -430,50 +435,36 @@ class VerificationService:
                     if job.trace is not None else None)
         return stream
 
+    @staticmethod
+    def _task(job: Job) -> tuple:
+        """The job's :func:`repro.runner.run_task` task.  The worker is
+        looked up per job, so a wrapper installed on
+        ``jobs.serve_job_worker`` after import is the one that runs."""
+        return (jobmod.serve_job_worker, job.canonical, {"stream": True})
+
     def _execute_local(self, job: Job) -> None:
         stream = self._start_job(job)
-        own_session = not obs.enabled()
         try:
-            if own_session:
-                with obs.session(stream=True) as session:
-                    payload = jobmod.serve_job_worker(job.canonical)
-                    snapshot = session.metrics.snapshot()
-                    events = session.events.drain()
-            else:
-                # An outer session is active (e.g. `repro serve --stats`):
-                # run inside it and report this job's counter delta only.
-                registry = obs.metrics()
-                before = registry.snapshot()
-                payload = jobmod.serve_job_worker(job.canonical)
-                snapshot = obs.diff_snapshots(before, registry.snapshot())
-                events = None
+            payload, shipment = runner.run_task(self._task(job))
         except Exception as error:  # noqa: BLE001 — jobs must not kill
             self._fail_job(job, stream, error)  # the drainer
             return
-        self._complete_job(job, stream, payload, snapshot, events)
+        self._complete_job(job, stream, payload, shipment)
 
     def _dispatch_pool(self, job: Job) -> None:
         stream = self._start_job(job)
-        # The trailing TraceContext crosses the pickle boundary: the
-        # worker binds it and stamps its drained event ring, so every
-        # worker-side span comes back attributed to this request.
-        context = job.trace.child_context(span_id=job.execute_span) \
-            if job.trace is not None else None
-        task = (jobmod.serve_job_worker, job.canonical,
-                False, False, True, None, context)
 
         def on_result(result) -> None:
-            payload, snapshot, _frames, _graph, events, _monitor, \
-                shipment = result
+            payload, shipment, store_shipment = result
             parent = certstore.active()
             if parent is not None:
-                parent.absorb(shipment)
-            self._complete_job(job, stream, payload, snapshot, events)
+                parent.absorb(store_shipment)
+            self._complete_job(job, stream, payload, shipment)
 
         def on_error(error) -> None:
             self._fail_job(job, stream, error)
 
-        self._pool.apply_async(runner._subprocess_entry, (task,),
+        self._pool.apply_async(runner._subprocess_entry, (self._task(job),),
                                callback=on_result,
                                error_callback=on_error)
 
@@ -485,13 +476,13 @@ class VerificationService:
                          span_id=job.execute_span)
         self.metrics.observe("execute.s", execute_s)
 
-    def _fold_worker_spans(self, job: Job, events: dict) -> None:
+    def _fold_worker_spans(self, job: Job, events: list) -> None:
         """Fold the worker's span-exit events into the job trace as
         depth-2 records parented on the serve.execute span — the
         worker-side half of the request's record set."""
         if job.trace is None:
             return
-        for event in events.get("events", ()):
+        for event in events:
             if event.get("ev") != "span-exit":
                 continue
             job.trace.add(telemetry.span_record(
@@ -501,19 +492,20 @@ class VerificationService:
                 parent=job.execute_span, worker=True))
 
     def _complete_job(self, job: Job, stream: EventStream,
-                      payload: dict, snapshot: Optional[dict],
-                      events: Optional[dict]) -> None:
+                      payload: dict, shipment: dict) -> None:
+        """Finish an executed job from its payload and the
+        :meth:`repro.obs.ObsSession.export` of the session it ran in."""
         self._record_execute(job)
         trace_id = job.trace.trace_id if job.trace is not None else None
-        if events:
-            if events.get("dropped"):
-                stream.emit("worker-drop", job=job.id,
-                            dropped=events["dropped"])
-            self._fold_worker_spans(job, events)
-            for event in events.get("events", ()):
-                if event.get("ev") == "meta":
-                    continue
-                stream.replay(event, job=job.id, trace=trace_id)
+        drained = shipment["events"]
+        if drained["dropped"]:
+            stream.emit("worker-drop", job=job.id,
+                        dropped=drained["dropped"])
+        self._fold_worker_spans(job, drained["events"])
+        for event in drained["events"]:
+            if event.get("ev") == "meta":
+                continue
+            stream.replay(event, job=job.id, trace=trace_id)
         render_start = time.perf_counter()
         if self.store is not None:
             self.store.put(job.digest, job.canonical["kind"], payload)
@@ -522,11 +514,9 @@ class VerificationService:
         result = json.loads(json.dumps(payload, default=repr))
         stream.emit("event", name="result", job=job.id, cached=False,
                     **result)
-        rules = None
-        if snapshot is not None:
-            rules = {name: value
-                     for name, value in snapshot["counters"].items()
-                     if name.startswith("rule.") and value}
+        rules = {name: value
+                 for name, value in shipment["metrics"]["counters"].items()
+                 if name.startswith("rule.") and value}
         with self._cond:
             job.state = "done"
             job.result = result

@@ -28,7 +28,9 @@ appending to.
 Memory model (ROADMAP item 1): the store no longer pins every parsed
 result in memory.  Load time builds a **digest → (segment, byte
 offset) index** — a few dozen bytes per entry however large the
-verdicts grow — and ``get`` re-reads one line by ``seek``.  In front
+verdicts grow — and ``get`` re-reads one line by ``seek``.  When a
+peer's compaction has merged the indexed segment away, ``get``
+re-indexes from the current segments once and reads again.  In front
 of that sits a **bounded LRU** of parsed results
 (``lru_entries``, default :data:`DEFAULT_LRU_ENTRIES`; 0 disables),
 so the hot, cache-dominated request mix never touches disk.  The
@@ -98,6 +100,10 @@ class VerdictStore:
                                f"{SEGMENT_HEADER} {SEMANTICS_VERSION}",
                                _parse_record)
         # Offsets only: the LRU starts cold and fills on demand.
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Point the index at every record of the current segments."""
         for path, offset, (digest, _result) in self._log.scan():
             self._index[digest] = (path, offset)
 
@@ -136,6 +142,12 @@ class VerdictStore:
             self.lru_misses += 1
             path, offset = location
             record = self._log.read_at(path, offset) if path else None
+            if record is None and path:
+                # A peer's compaction merged the indexed segment into a
+                # new one: find the record there.
+                self._reindex()
+                path, offset = self._index[digest]
+                record = self._log.read_at(path, offset)
             result = record[1] if record is not None \
                 else self._resident.get(digest)
             if result is None:

@@ -268,13 +268,16 @@ class TestPayload:
 
 class TestCLI:
     def test_litmus_monitor_byte_identical_across_jobs(self, capsys):
-        assert main(["litmus", "--monitor", "strict", "--jobs", "1"]) == 0
-        one = capsys.readouterr().out
-        assert main(["litmus", "--monitor", "strict", "--jobs", "2"]) == 0
-        two = capsys.readouterr().out
-        assert one == two
-        assert "-- invariant monitor (strict) --" in one
-        assert "!!" not in one
+        """Strict and sampled: a pool worker's monitor checks with the
+        parent's mode and stride."""
+        for spec in ("strict", "sample:4"):
+            assert main(["litmus", "--monitor", spec, "--jobs", "1"]) == 0
+            one = capsys.readouterr().out
+            assert main(["litmus", "--monitor", spec, "--jobs", "2"]) == 0
+            two = capsys.readouterr().out
+            assert one == two, spec
+            assert f"-- invariant monitor ({spec}) --" in one
+            assert "!!" not in one
 
     def test_clean_explore_exits_zero_with_table(self, capsys):
         assert main(["explore", "y_rel := 1; return 0;",

@@ -76,7 +76,7 @@ class TestMetrics:
         a.inc("c", 1)
         b.inc("c", 2)
         b.observe("h", 7)
-        a.merge(b)
+        a.merge_snapshot(b.snapshot())
         assert a.counters["c"] == 3
         assert a.histograms["h"].count == 1
 

@@ -54,21 +54,21 @@ class TestRecorder:
 
 
 class TestMerge:
-    def test_merge_frames_is_commutative(self):
+    def test_merge_snapshot_is_commutative(self):
         left = {("a",): (0.5, 1.0, 2), ("a", "b"): (0.5, 0.5, 1)}
         right = {("a",): (0.25, 0.5, 1), ("c",): (0.1, 0.1, 4)}
         one = attrib.AttribRecorder()
-        attrib.merge_frames(one, left)
-        attrib.merge_frames(one, right)
+        one.merge_snapshot(left)
+        one.merge_snapshot(right)
         other = attrib.AttribRecorder()
-        attrib.merge_frames(other, right)
-        attrib.merge_frames(other, left)
+        other.merge_snapshot(right)
+        other.merge_snapshot(left)
         assert one.frames == other.frames
         assert one.frames[("a",)] == [0.75, 1.5, 3]
 
     def test_snapshot_is_plain_data(self):
         recorder = attrib.AttribRecorder()
-        attrib.merge_frames(recorder, {("a",): (0.5, 1.0, 2)})
+        recorder.merge_snapshot({("a",): (0.5, 1.0, 2)})
         snapshot = recorder.snapshot()
         assert snapshot == {("a",): (0.5, 1.0, 2)}
         snapshot[("a",)] = (9, 9, 9)

@@ -254,7 +254,7 @@ def test_live_handle_keeps_verdicts_across_peer_compaction(view, tmp_path):
     write_generation(view, directory, [peer_key])  # compacts
     assert len(segments(view, directory)) < COMPACT_SEGMENTS
     view.put(live, x2)
-    assert present(view, live, [x1, x2]) == {x1, x2}
+    assert present(view, live, closed + [x1, x2]) == set(closed + [x1, x2])
     everything = closed + [peer_key, x1, x2]
     found = present(view, view.open(directory), everything)
     assert set(closed + [peer_key]) <= found

@@ -792,6 +792,56 @@ class TestTelemetry:
         pooled = run(2, str(tmp_path / "store-2"))
         assert project(serial) == project(pooled)
 
+    def test_job_stream_and_trace_do_not_depend_on_worker_count(
+            self, service, tmp_path):
+        """In process or in the pool, a job runs through one executor:
+        the same status body, the same event lines apart from their
+        clocks, and the same trace shape."""
+        specs = [VALIDATE_SPEC,
+                 {"kind": "litmus", "case": ALL_TRANSFORMATION_CASES[0].name},
+                 {"kind": "explore", "programs": TestCertReuse.LB,
+                  "promises": 1},
+                 {"kind": "adequacy", "source": VALIDATE_SPEC["source"],
+                  "target": VALIDATE_SPEC["target"]}]
+
+        def observe(job):
+            events = []
+            for line in job.event_lines:
+                event = json.loads(line)
+                event.pop("t", None)
+                event.pop("dur_s", None)
+                events.append(event)
+            records = job.trace.records()
+            names = {record["span"]: record["name"] for record in records}
+            shape = [(record["name"], record["depth"],
+                      record.get("worker", False),
+                      names.get(record.get("parent")))
+                     for record in records]
+            return job.status(), events, shape
+
+        def run(jobs, store_dir):
+            svc = service(jobs=jobs, store_dir=store_dir)
+            observed = []
+            for spec in specs:
+                job = svc.wait(svc.submit(spec, trace_id="parity")[0].id,
+                               timeout=300.0)
+                # wait() returns once the job is done, which can be
+                # before its root span is sealed.
+                deadline = time.monotonic() + 30.0
+                while not job.trace.closed \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert job.state == "done" and job.trace.closed
+                observed.append(observe(job))
+            return observed
+
+        serial = run(1, str(tmp_path / "store-1"))
+        pooled = run(2, str(tmp_path / "store-2"))
+        for spec, one, two in zip(specs, serial, pooled):
+            assert one == two, spec["kind"]
+        assert any(worker for _status, _events, shape in serial
+                   for _name, _depth, worker, _parent in shape)
+
     def test_audit_ledger_records_the_request_lifecycle(self, live,
                                                         tmp_path):
         base, svc = live()

@@ -2,12 +2,12 @@
 traces.
 
 Unit coverage for :mod:`repro.serve.metrics` (fixed-bucket histograms,
-snapshot merging, the Prometheus exposition round-trip, the ``repro
-top`` frame) and :mod:`repro.obs.telemetry` (trace ids, span records,
-the per-job trace).  The byte-identity claims the service makes —
-snapshots merge commutatively, quantiles are exact functions of the
-integer bucket counts — are pinned here with dyadic-rational
-observations so float addition cannot smuggle in order dependence.
+snapshots, the Prometheus exposition round-trip, the ``repro top``
+frame) and :mod:`repro.obs.telemetry` (trace ids, span records, the
+per-job trace).  The byte-identity claim the service makes — quantiles
+are exact functions of the integer bucket counts — is pinned here with
+dyadic-rational observations so float addition cannot smuggle in order
+dependence.
 """
 
 import json
@@ -72,50 +72,6 @@ class TestBucketHistogram:
         hist.observe(50.0)
         assert hist.quantile(0.5) == 2.0
 
-    def test_merge_is_commutative_to_the_byte(self):
-        """Any partition of the observations, merged in any order,
-        yields the same summary bytes — the property that makes
-        ``--jobs N`` metrics reproducible."""
-        partitions = [DYADIC[0:3], DYADIC[3:4], DYADIC[4:9], DYADIC[9:]]
-
-        def merged(order):
-            total = BucketHistogram()
-            for index in order:
-                part = BucketHistogram()
-                for value in partitions[index]:
-                    part.observe(value)
-                total.merge(part)
-            return json.dumps(total.summary(), sort_keys=True)
-
-        flat = BucketHistogram()
-        for value in DYADIC:
-            flat.observe(value)
-        expected = json.dumps(flat.summary(), sort_keys=True)
-        assert merged([0, 1, 2, 3]) == expected
-        assert merged([3, 2, 1, 0]) == expected
-        assert merged([2, 0, 3, 1]) == expected
-
-    def test_merge_summary_round_trips(self):
-        a, b = BucketHistogram(), BucketHistogram()
-        for value in DYADIC[:6]:
-            a.observe(value)
-        for value in DYADIC[6:]:
-            b.observe(value)
-        a.merge_summary(b.summary())
-        flat = BucketHistogram()
-        for value in DYADIC:
-            flat.observe(value)
-        assert a.summary() == flat.summary()
-
-    def test_mismatched_bounds_refuse_to_merge(self):
-        with pytest.raises(ValueError):
-            BucketHistogram(bounds=(1.0,)).merge(
-                BucketHistogram(bounds=(2.0,)))
-        with pytest.raises(ValueError):
-            BucketHistogram(bounds=(1.0,)).merge_summary(
-                {"le": [2.0], "counts": [0, 0], "sum": 0.0})
-
-
 class TestServiceMetrics:
     def _populated(self):
         metrics = ServiceMetrics()
@@ -136,31 +92,6 @@ class TestServiceMetrics:
         assert dump_servemetrics(snap) == dump_servemetrics(snap)
         assert snap["counters"]["requests.total"] == 3
         assert snap["samples"]["queue.depth"] == [2, 1]
-
-    def test_merge_snapshot_is_commutative_on_the_stable_projection(self):
-        a, b = ServiceMetrics(), ServiceMetrics()
-        a.inc("jobs.executed", 2)
-        b.inc("jobs.executed", 5)
-        b.inc("jobs.failed")
-        for value in DYADIC[:4]:
-            a.observe("execute.s", value)
-        for value in DYADIC[4:]:
-            b.observe("execute.s", value)
-        ab, ba = ServiceMetrics(), ServiceMetrics()
-        ab.merge_snapshot(a.snapshot())
-        ab.merge_snapshot(b.snapshot())
-        ba.merge_snapshot(b.snapshot())
-        ba.merge_snapshot(a.snapshot())
-        assert dump_servemetrics(ab.snapshot()) \
-            == dump_servemetrics(ba.snapshot())
-        assert ab.snapshot()["counters"]["jobs.executed"] == 7
-
-    def test_clear_resets_everything(self):
-        metrics = self._populated()
-        metrics.clear()
-        snap = metrics.snapshot()
-        assert snap["counters"] == {}
-        assert snap["histograms"] == {}
 
     def test_sample_ring_is_bounded(self):
         metrics = ServiceMetrics(sample_ring=4)
@@ -322,32 +253,6 @@ class TestTelemetry:
         assert sum(1 for line in trace.lines()
                    if '"serve.request"' in line) == 1
 
-    def test_child_context_parents_on_the_root(self):
-        trace = telemetry.JobTrace(trace_id="t-2")
-        context = trace.child_context(span_id="beef")
-        assert context.trace_id == "t-2"
-        assert context.span_id == "beef"
-        assert context.parent_id == trace.root_id
-
     def test_fresh_trace_id_when_client_sends_none(self):
         trace = telemetry.JobTrace(trace_id=None)
         assert trace.trace_id
-
-    def test_stamp_events_marks_unstamped_worker_events(self):
-        context = telemetry.TraceContext("t-3", "span")
-        drained = {"events": [{"ev": "state"},
-                              {"ev": "span-exit", "trace": "already"}]}
-        telemetry.stamp_events(drained, context)
-        assert drained["events"][0]["trace"] == "t-3"
-        assert drained["events"][1]["trace"] == "already"
-        telemetry.stamp_events(None, context)  # tolerated
-        telemetry.stamp_events({"events": []}, None)
-
-    def test_bind_current_clear(self):
-        context = telemetry.TraceContext("t-4", "s")
-        telemetry.bind(context)
-        try:
-            assert telemetry.current() is context
-        finally:
-            telemetry.clear()
-        assert telemetry.current() is None
