@@ -14,7 +14,7 @@ module adds the request-scoped layer:
   ``trace``/``span``/``parent`` fields, so every existing trace
   consumer (``repro query``, the explainer) reads them unchanged.
 
-No trace context crosses into a pool worker.  The worker records its
+No trace context crosses into a spawn worker.  The worker records its
 spans into its own session like any other case; the service stamps and
 re-parents them itself when they come back (:meth:`repro.serve.service.
 VerificationService._complete_job`).

@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import threading
 from hashlib import blake2b
 from typing import Optional
 
@@ -141,6 +142,9 @@ class CertStore:
         self.misses = 0
         self.writes = 0
         self._closed = False
+        #: Serializes :meth:`absorb` and :meth:`close`: the service
+        #: absorbs each worker's shipment on that worker's drainer thread.
+        self._lock = threading.Lock()
         self._log = SegmentLog(directory, "segment-", ".seg",
                                f"{SEGMENT_HEADER} {SEMANTICS_VERSION}",
                                _parse_record)
@@ -189,32 +193,37 @@ class CertStore:
         """Fold a worker's :meth:`drain` result into this handle."""
         if not shipped:
             return
-        for digest, verdict in shipped["entries"].items():
-            if digest not in self.entries and digest not in self.pending:
-                self.pending[digest] = verdict
-        self.hits += shipped["hits"]
-        self.misses += shipped["misses"]
-        self.writes += shipped["writes"]
+        with self._lock:
+            for digest, verdict in shipped["entries"].items():
+                if digest not in self.entries \
+                        and digest not in self.pending:
+                    self.pending[digest] = verdict
+            self.hits += shipped["hits"]
+            self.misses += shipped["misses"]
+            self.writes += shipped["writes"]
 
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
         """Flush pending entries to a fresh segment, compact if the
         segment count has grown, and append a history line."""
-        if self._closed:
-            return
-        self._closed = True
-        self._log.write(f"{digest} {1 if verdict else 0}"
-                        for digest, verdict in sorted(self.pending.items()))
-        self._log.close()
-        if self.hits or self.misses or self.writes or self.pending:
-            # Verdicts of ended runs sit in both dicts.
-            entries = len(self.entries) + sum(
-                1 for digest in self.pending if digest not in self.entries)
-            self._history({"hits": self.hits, "misses": self.misses,
-                           "writes": self.writes, "entries": entries})
-        self.pending = {}
-        self._run = {}
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._log.write(
+                f"{digest} {1 if verdict else 0}"
+                for digest, verdict in sorted(self.pending.items()))
+            self._log.close()
+            if self.hits or self.misses or self.writes or self.pending:
+                # Verdicts of ended runs sit in both dicts.
+                entries = len(self.entries) + sum(
+                    1 for digest in self.pending
+                    if digest not in self.entries)
+                self._history({"hits": self.hits, "misses": self.misses,
+                               "writes": self.writes, "entries": entries})
+            self.pending = {}
+            self._run = {}
 
     def _history(self, record: dict) -> None:
         try:

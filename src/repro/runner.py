@@ -17,11 +17,13 @@ export`: metrics, attribution frames, graph stats, monitor counts and
 the drained event ring, as one picklable dict.  The parent folds each
 export in with :meth:`~repro.obs.ObsSession.absorb`, in descriptor
 order, so events replay tagged with their case index.  The
-verification service runs its jobs through the same :func:`run_task`,
-in process at ``--jobs 1`` and in its pool otherwise.
+verification service runs its jobs through the same :func:`run_task`:
+in process at ``--jobs 1``, otherwise through :func:`_subprocess_entry`
+in spawn workers that each run :func:`_serve_worker`, one task at a
+time over the worker's own pipe.
 
 Spawn-safety: workers are module-level functions (pickled by qualified
-name) over primitive descriptors, so the pool works identically under
+name) over primitive descriptors, so they work identically under
 ``fork`` and ``spawn`` start methods; ``spawn`` is used explicitly to
 keep every platform on the strictest semantics.
 """
@@ -29,6 +31,8 @@ keep every platform on the strictest semantics.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import sys
 import threading
 import time
@@ -56,7 +60,8 @@ class Heartbeat:
     seconds (so CI logs stay readable), counting cases done, failures
     (per the caller's ``is_failure`` predicate), and elapsed wall-clock.
     Writes to stderr only — stdout summaries stay machine-parseable.
-    Use as the ``progress`` callback of :func:`run_sweep`.
+    Use as the ``progress`` callback of :func:`run_sweep`; calls from
+    several threads (the service's completions) are serialized.
     """
 
     def __init__(self, label: str, total: Optional[int] = None,
@@ -73,20 +78,23 @@ class Heartbeat:
         self._last_emit = self._started
         self._ticker: Optional[threading.Thread] = None
         self._stop = threading.Event()
+        self._lock = threading.Lock()
 
     def __call__(self, payload) -> None:
-        self.done += 1
-        if self.is_failure is not None and self.is_failure(payload):
-            self.failures += 1
-        now = time.monotonic()
-        if now - self._last_emit >= self.interval_s:
-            self._last_emit = now
-            self.emit()
+        with self._lock:
+            self.done += 1
+            if self.is_failure is not None and self.is_failure(payload):
+                self.failures += 1
+            self._maybe_emit()
 
     def update(self, done: int) -> None:
         """Set absolute progress (for phases that report counts, not
         per-payload completions — e.g. a witness search's states)."""
-        self.done = done
+        with self._lock:
+            self.done = done
+            self._maybe_emit()
+
+    def _maybe_emit(self) -> None:
         now = time.monotonic()
         if now - self._last_emit >= self.interval_s:
             self._last_emit = now
@@ -183,7 +191,7 @@ def run_task(task) -> tuple[object, dict]:
 
 
 def _subprocess_entry(task):
-    """Pool entry point: :func:`run_task`, then the worker's pending
+    """Worker entry point: :func:`run_task`, then the worker's pending
     cert-store entries, which the parent's store absorbs and writes.
     Returns ``(payload, shipment, store_shipment)``."""
     payload, shipment = run_task(task)
@@ -191,14 +199,58 @@ def _subprocess_entry(task):
     return payload, shipment, store.drain() if store is not None else None
 
 
+def _portable(error: Exception) -> Exception:
+    """``error``, or a ``RuntimeError`` carrying its text when it does
+    not survive a pickle round trip."""
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:  # noqa: BLE001 — any pickling failure
+        return RuntimeError(f"{type(error).__name__}: {error}")
+    return error
+
+
+def _serve_worker(conn, initializer, initargs) -> None:
+    """Spawn target of one service worker, at the far end of ``conn``.
+
+    Calls ``initializer(*initargs)`` and sends ``None`` (ready), then
+    answers each task ``conn`` delivers with :func:`_subprocess_entry`'s
+    triple, or with the exception it raised, until a ``None`` sentinel.
+    Returning (rather than being terminated) lets multiprocessing's exit
+    finalizers run.  SIGINT is ignored: the service drains its jobs on
+    Ctrl-C, and a worker that died of it would fail the job it was
+    running.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    initializer(*initargs)
+    try:
+        conn.send(None)
+    except OSError:  # the service is gone
+        return
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:  # the service is gone
+            return
+        if task is None:
+            return
+        try:
+            reply = _subprocess_entry(task)
+        except Exception as error:  # noqa: BLE001 — fails the job only
+            reply = _portable(error)
+        try:
+            conn.send(reply)
+        except OSError:  # the service is gone
+            return
+
+
 def _worker_init(store_dir) -> None:
-    """Spawn-pool initializer: open the persistent cert store once per
-    worker process.  Workers never write segments themselves — their
-    pending entries are drained per task and shipped to the parent,
-    which owns the single close-time segment write.  Every worker loads
-    the same on-disk snapshot the parent did, so store hits (and
-    therefore verdicts, counters, and monitor checks) are identical to
-    the serial path."""
+    """Worker initializer (sweep pools and service workers): open the
+    persistent cert store once per worker process.  Workers never write
+    segments themselves — their pending entries are drained per task
+    and shipped to the parent, which owns the single close-time segment
+    write.  Every worker loads the same on-disk snapshot the parent did,
+    so store hits (and therefore verdicts, counters, and monitor checks)
+    are identical to the serial path."""
     if store_dir is not None:
         certstore.bind(certstore.CertStore(store_dir))
 

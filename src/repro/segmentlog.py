@@ -11,7 +11,10 @@ record, so truncation or garbage degrades to misses, never to a wrong
 answer.
 
 Crash safety: a segment is written to a ``.tmp`` file, which no reader
-lists, and renamed into place.  Each handle writes its own segments and
+lists, and renamed into place.  The writer share-locks the temp file
+from its creation, and compaction unlinks every temp file it can lock
+exclusively, so the orphan of a writer that died before the rename goes
+at the next compaction.  Each handle writes its own segments and
 loading folds them all in name order, so concurrent writers merge.
 :meth:`SegmentLog.append` flushes one line at a time, so a killed writer
 loses at most its partial last line.  Compaction publishes the merged
@@ -112,20 +115,33 @@ class SegmentLog:
 
     # -- writing ----------------------------------------------------------
 
+    def _temp(self) -> tuple[BinaryIO, str]:
+        """A new temp file, share-locked from creation, so compaction
+        reaps it only once this handle has closed it (or died).  A
+        compaction can unlink the file between its creation and the
+        lock; then it is made again."""
+        while True:
+            fd, tmp = tempfile.mkstemp(prefix=self.prefix, suffix=".tmp",
+                                       dir=self.directory)
+            fh = os.fdopen(fd, "wb")
+            fcntl.flock(fh, fcntl.LOCK_SH)
+            try:
+                if os.path.samestat(os.stat(tmp), os.fstat(fd)):
+                    return fh, tmp
+            except OSError:
+                pass
+            fh.close()
+
     def _publish(self, lines: list[bytes], append: bool = False) -> None:
         """Write the header and ``lines`` to a temp file and rename it
-        into place; with ``append`` the file stays open, share-locked
-        before the rename makes it visible to compaction."""
+        into place; with ``append`` the file stays open, still
+        share-locked, so compaction leaves it alone."""
         os.makedirs(self.directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=self.prefix, suffix=".tmp",
-                                   dir=self.directory)
-        fh = os.fdopen(fd, "wb")
+        fh, tmp = self._temp()
         try:
             fh.write(self._header)
             fh.writelines(lines)
             fh.flush()
-            if append:
-                fcntl.flock(fh, fcntl.LOCK_SH)
             unique = os.path.basename(tmp)[len(self.prefix):-len(".tmp")]
             path = os.path.join(
                 self.directory,
@@ -171,10 +187,30 @@ class SegmentLog:
 
     # -- maintenance ------------------------------------------------------
 
+    def _reap_temps(self) -> None:
+        """Unlink every temp file no live writer holds: one whose writer
+        died between the temp write and the rename."""
+        try:
+            names = os.listdir(self.directory)
+        except OSError:
+            return
+        for name in names:
+            if not (name.startswith(self.prefix) and name.endswith(".tmp")):
+                continue
+            path = os.path.join(self.directory, name)
+            try:
+                with open(path, "rb") as fh:
+                    fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    os.unlink(path)
+            except OSError:
+                continue  # a live writer holds it, or it is gone
+
     def compact(self) -> int:
-        """Merge every segment no live handle is appending to into one
-        (nothing when no record survives), then unlink the inputs,
-        stale ones included.  Returns how many stale segments went."""
+        """Reap orphan temp files, merge every segment no live handle is
+        appending to into one (nothing when no record survives), then
+        unlink the inputs, stale ones included.  Returns how many stale
+        segments went."""
+        self._reap_temps()
         held: list[tuple[str, BinaryIO]] = []
         winners: dict[str, bytes] = {}
         stale = 0

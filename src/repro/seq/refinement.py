@@ -296,7 +296,9 @@ class _Game:
         Returns whether ⊥ is reachable (beh-failure) and the set of
         "coverage" sets ``F_src ∪ ⋃{F | Wrel(..,F,..) ∈ suffix}``
         reachable (beh-partial).  In simple mode suffixes are unlabeled
-        only, so this reduces to inspecting the already-closed frontier.
+        only, so everything a search reaches is already in the closed
+        frontier: simple games search only where
+        :meth:`_frontier_decides_prune` says the frontier cannot decide.
         """
         key = (item.cfg, script if self.advanced else frozenset())
         cached = self._escape_cache.get(key)
@@ -350,6 +352,21 @@ class _Game:
         result = _Escape(bottom, frozenset(coverages), complete)
         self._escape_cache[key] = result
         return result
+
+    def _frontier_decides_prune(self, frontier: frozenset[_Item]) -> bool:
+        """May the beh-failure prune read ``frontier`` instead of running
+        an escape search from each item?
+
+        In simple mode an escape follows unlabeled steps only, and
+        :meth:`_close` closed the frontier under them, so ⊥ is reachable
+        from some item iff some item is ⊥.  That holds while no closure
+        truncated, and while the frontier is within the escape bound (a
+        search from it cannot truncate).  Without caching every search
+        runs, so the uncached game stays the reference.
+        """
+        return (not self.advanced and self.caching
+                and len(frontier) <= self.limits.max_escape_states
+                and "closure-states" not in self.incomplete_reasons)
 
     # -- label matching ----------------------------------------------------
 
@@ -510,11 +527,16 @@ class _Game:
                     max((len(item.commitments) for item in frontier),
                         default=0))
 
-            script = frozenset(strip(label) for label in trace)
-            escapes = {item: self._escape(item, script) for item in frontier}
-
             # beh-failure prune: a source that reaches ⊥ matches anything.
-            if any(escape.bottom for escape in escapes.values()):
+            escapes: Optional[dict[_Item, _Escape]] = None
+            if self._frontier_decides_prune(frontier):
+                pruned = any(item.cfg.is_bottom() for item in frontier)
+            else:
+                script = frozenset(strip(label) for label in trace)
+                escapes = {item: self._escape(item, script)
+                           for item in frontier}
+                pruned = any(escape.bottom for escape in escapes.values())
+            if pruned:
                 self.obligations["bottom-prune"] += 1
                 if builder is not None:
                     builder.mark(cur_id, "pruned")
@@ -658,7 +680,9 @@ class _Game:
                 and fmap_leq(tgt.memory, cfg.memory))
 
     def _partial_match(self, tgt: SeqConfig, frontier: frozenset[_Item],
-                       escapes: dict[_Item, _Escape]) -> bool:
+                       escapes: Optional[dict[_Item, _Escape]]) -> bool:
+        """Advanced mode reads the escapes' coverages, simple mode the
+        frontier's written sets (``escapes`` may be None there)."""
         for item in frontier:
             required = tgt.written | item.commitments
             if self.advanced:
@@ -689,7 +713,10 @@ def check_simple_refinement(source: Stmt, target: Stmt,
     REFINES.  One game plays every initial configuration in turn; the
     verdict's ``game_states`` counts the states it visited.
     ``caching=False`` disables the game's successor table and its
-    closure/frontier caches (ablation and correctness testing only).
+    closure/frontier caches, and runs an escape search from every
+    frontier item where the cached game reads the beh-failure prune off
+    the closed frontier: the reference game, for ablation and
+    correctness testing only.
     """
     if universe is None:
         universe = universe_for(source, target)

@@ -25,8 +25,8 @@ so ``repro query``, the dashboard, and the CI byte-identity gate consume
 service output unchanged.
 
 :func:`serve_job_worker` is module-level and takes only the (picklable)
-canonical dict, so the service can drain its queue through the same
-spawn pool machinery :mod:`repro.runner` uses for ``--jobs``.
+canonical dict, so the service's spawn workers run it through the same
+:func:`repro.runner._subprocess_entry` the ``--jobs`` sweeps use.
 """
 
 from __future__ import annotations
@@ -283,14 +283,15 @@ _RUNNERS: dict[str, Callable[[dict], dict]] = {
 
 
 def serve_job_worker(canonical: dict) -> dict:
-    """Execute one canonical job; module-level so the spawn pool can
-    pickle it by qualified name (the :mod:`repro.runner` discipline).
+    """Execute one canonical job; module-level so a task carries it to
+    a spawn worker by qualified name (the :mod:`repro.runner`
+    discipline).
 
     A job is one run of the process's cert store (see
     :class:`repro.psna.certstore.CertStore`): the certification
     verdicts it queued join the store's lookup snapshot when it ends,
     so later jobs in this process — the service's own with ``--jobs
-    1``, or the same pool worker's — reuse them.
+    1``, or the same spawn worker's — reuse them.
     """
     try:
         return _RUNNERS[canonical["kind"]](canonical)

@@ -7,7 +7,7 @@ answer.  This module adds the service-grade layer: **integer counts in
 fixed buckets**, with quantiles that are *exact functions of the
 counts* (the upper bound of the bucket holding the rank), not
 interpolations.  The service process records every observation itself,
-whether a job ran in process or in a pool worker, so the same
+whether a job ran in process or in a spawn worker, so the same
 submissions give the same counts at any ``--jobs``.
 
 Three surfaces, one source of truth:

@@ -12,12 +12,18 @@ Life of a job
     an already-``done`` job, ``cached=True``, without touching the
     queue), or **enqueues**.  A drainer thread pops the queue and builds
     one task for the job, ``(serve_job_worker, canonical request,
-    {"stream": True})``.  At ``jobs <= 1`` it runs the task in process
-    with :func:`repro.runner.run_task`; otherwise it sends the same task
-    to a persistent spawn pool through the ``_subprocess_entry`` the
-    ``--jobs`` sweeps use.  Either way the job comes back as its payload
+    {"stream": True})``.  At ``jobs <= 1`` one drainer runs the task in
+    process with :func:`repro.runner.run_task`.  Otherwise each of
+    ``jobs`` drainers owns one spawn worker
+    (:func:`repro.runner._serve_worker`) and a duplex pipe to it: it
+    sends the task, waits for the reply from the
+    ``_subprocess_entry`` the ``--jobs`` sweeps use, and finishes the
+    job on its own thread.  Either way the job comes back as its payload
     and its session's export (counters and the drained event ring), so
-    both modes finish a job through the same code.
+    both modes finish a job through the same code.  A worker that dies
+    fails the job it was running (``worker exited with code N``) and is
+    replaced; one found dead before a send is replaced first, so its
+    death fails no job.
 
 Progress
     Every job carries its own ``repro-events/1`` NDJSON buffer: the
@@ -50,8 +56,9 @@ Telemetry
 Shutdown
     ``shutdown(drain=True)`` stops intake (late submissions raise
     :class:`ServiceClosed` → HTTP 503), waits for every queued and
-    in-flight job to finish, closes the pool and the stores, and only
-    then returns — no accepted job is ever dropped.
+    in-flight job to finish, stops the drainers and the workers (a
+    worker that does not exit in time is terminated), closes the
+    stores, and only then returns — no accepted job is ever dropped.
 """
 
 from __future__ import annotations
@@ -77,6 +84,10 @@ from .store import VerdictStore
 
 #: Job states, in lifecycle order.
 JOB_STATES = ("queued", "running", "done", "failed")
+
+#: Seconds to wait for a worker process to exit (after its sentinel, or
+#: after its pipe broke) before terminating it.
+WORKER_EXIT_TIMEOUT_S = 10.0
 
 
 class ServiceClosed(Exception):
@@ -142,6 +153,61 @@ class _AuditLedger:
                 except OSError:
                     pass
                 self._handle = None
+
+
+class _Worker:
+    """One spawn worker running :func:`repro.runner._serve_worker` and
+    the service's end of its duplex pipe.  Its initializer is
+    ``runner._worker_init`` as of the moment the worker starts."""
+
+    def __init__(self, store_dir: Optional[str]) -> None:
+        context = get_context("spawn")
+        self.conn, child = context.Pipe(duplex=True)
+        self.process = context.Process(
+            target=runner._serve_worker,
+            args=(child, runner._worker_init, (store_dir,)),
+            name="repro-serve-worker", daemon=True)
+        self.process.start()
+        child.close()
+        self.ready = False
+
+    def wait_ready(self) -> bool:
+        """Block until the worker has run its initializer; False when it
+        died first."""
+        if not self.ready:
+            try:
+                self.conn.recv()
+            except (EOFError, OSError):
+                self.reap(WORKER_EXIT_TIMEOUT_S)
+                return False
+            self.ready = True
+        return True
+
+    def call(self, task: tuple):
+        """Send ``task`` and return the reply.  Raises ``RuntimeError``
+        naming the exit code when the worker dies before replying."""
+        try:
+            self.conn.send(task)
+            return self.conn.recv()
+        except (EOFError, OSError):
+            self.reap(WORKER_EXIT_TIMEOUT_S)
+            raise RuntimeError(f"worker exited with code "
+                               f"{self.process.exitcode}") from None
+
+    def stop(self) -> None:
+        """Send the sentinel: the worker exits after its current task."""
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass
+
+    def reap(self, timeout: float) -> None:
+        """Wait up to ``timeout`` for the process to exit; terminate it
+        if it has not."""
+        self.process.join(timeout)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout)
 
 
 def _verdict_digest(result: dict) -> str:
@@ -224,18 +290,20 @@ class VerificationService:
         self.deduped = 0
         self.executed = 0
         self.failed = 0
-        self._pool = None
+        #: One spawn worker per drainer at ``jobs > 1``; None in process
+        #: and once shutdown has stopped them.
+        self._workers: Optional[list[_Worker]] = None
+        self._workers_lock = threading.Lock()
+        slots: list[Optional[int]] = [None]
         if self.jobs > 1:
-            context = get_context("spawn")
-            parent = certstore.active()
-            self._pool = context.Pool(
-                processes=self.jobs,
-                initializer=runner._worker_init,
-                initargs=(parent.directory if parent is not None
-                          else None,))
-        self._drainer = threading.Thread(target=self._drain, daemon=True,
-                                         name="repro-serve-drainer")
-        self._drainer.start()
+            self._workers = [self._spawn_worker() for _ in range(self.jobs)]
+            slots = list(range(self.jobs))
+        self._drainers = [
+            threading.Thread(target=self._drain, args=(slot,),
+                             daemon=True, name="repro-serve-drainer")
+            for slot in slots]
+        for drainer in self._drainers:
+            drainer.start()
 
     # -- events -----------------------------------------------------------
 
@@ -398,16 +466,22 @@ class VerificationService:
 
     # -- execution --------------------------------------------------------
 
-    def _drain(self) -> None:
+    def _drain(self, slot: Optional[int]) -> None:
+        """Run queued jobs until the sentinel: in process, or on the
+        slot's worker.  A worker's drainer takes a job only once its
+        worker is up, so jobs go first to the workers that are ready."""
+        worker = None
         while True:
+            if slot is not None:
+                worker = self._ready_worker(slot)
             job = self._queue.get()
             if job is None:
                 return
             self._sample_gauges()
-            if self._pool is not None:
-                self._dispatch_pool(job)
-            else:
+            if slot is None:
                 self._execute_local(job)
+            else:
+                self._execute_remote(slot, worker, job)
 
     def _sample_gauges(self) -> None:
         """Drainer-side load gauges: queue depth, in-flight jobs, and
@@ -451,22 +525,50 @@ class VerificationService:
             return
         self._complete_job(job, stream, payload, shipment)
 
-    def _dispatch_pool(self, job: Job) -> None:
+    @staticmethod
+    def _spawn_worker() -> _Worker:
+        parent = certstore.active()
+        return _Worker(parent.directory if parent is not None else None)
+
+    def _ready_worker(self, slot: int) -> Optional[_Worker]:
+        """The slot's worker once it is up, replaced first if it has
+        died; None once shutdown has stopped the workers."""
+        while True:
+            with self._workers_lock:
+                if self._workers is None:
+                    return None
+                worker = self._workers[slot]
+                if not worker.process.is_alive():
+                    worker = self._workers[slot] = self._spawn_worker()
+            if worker.wait_ready():
+                return worker
+
+    def _execute_remote(self, slot: int, worker: Optional[_Worker],
+                        job: Job) -> None:
+        """Run ``job`` on the slot's worker and finish it from the
+        reply, on this drainer's thread.  A worker that died idle is
+        replaced before the send; one that dies on the job fails it, and
+        the drainer's next round replaces it."""
+        if worker is not None and not worker.process.is_alive():
+            worker = self._ready_worker(slot)
         stream = self._start_job(job)
-
-        def on_result(result) -> None:
-            payload, shipment, store_shipment = result
-            parent = certstore.active()
-            if parent is not None:
-                parent.absorb(store_shipment)
-            self._complete_job(job, stream, payload, shipment)
-
-        def on_error(error) -> None:
-            self._fail_job(job, stream, error)
-
-        self._pool.apply_async(runner._subprocess_entry, (self._task(job),),
-                               callback=on_result,
-                               error_callback=on_error)
+        if worker is None:
+            self._fail_job(job, stream,
+                           ServiceClosed("service is shutting down"))
+            return
+        try:
+            reply = worker.call(self._task(job))
+        except Exception as error:  # noqa: BLE001 — jobs must not kill
+            self._fail_job(job, stream, error)  # the drainer
+            return
+        if isinstance(reply, Exception):
+            self._fail_job(job, stream, reply)
+            return
+        payload, shipment, store_shipment = reply
+        parent = certstore.active()
+        if parent is not None:
+            parent.absorb(store_shipment)
+        self._complete_job(job, stream, payload, shipment)
 
     def _record_execute(self, job: Job) -> None:
         if job.trace is None or job.execute_started_perf is None:
@@ -676,12 +778,16 @@ class VerificationService:
                     if remaining is not None and remaining <= 0:
                         break
                     self._cond.wait(remaining)
-        self._queue.put(None)
-        self._drainer.join(timeout=5.0)
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
+        for _drainer in self._drainers:
+            self._queue.put(None)
+        for drainer in self._drainers:
+            drainer.join(timeout=5.0)
+        with self._workers_lock:
+            workers, self._workers = self._workers or [], None
+        for worker in workers:
+            worker.stop()
+        for worker in workers:
+            worker.reap(WORKER_EXIT_TIMEOUT_S)
         if self.store is not None:
             self.store.close()
         if self.audit is not None:

@@ -158,6 +158,23 @@ class TestSeqGameCounters:
         assert counters["seq.game.obligations.partial"] > 0
         assert counters["seq.game.obligations.terminal"] > 0
 
+    def test_simple_game_reads_the_prune_off_the_frontier(self):
+        # The closed frontier decides the beh-failure prune of a simple
+        # game: no escape search runs.
+        with obs.session() as session:
+            check_transformation(parse(SLF_SRC), parse(SLF_TGT))
+        counters = session.metrics.snapshot()["counters"]
+        assert counters["seq.game.escape_searches"] == 0
+        assert "rule.seq.game.escape" not in counters
+
+    def test_advanced_game_still_searches_escapes(self):
+        case = case_by_name("na-reorder-same-loc")
+        with obs.session() as session:
+            verdict = check_transformation(case.source, case.target)
+        assert verdict.advanced is not None
+        counters = session.metrics.snapshot()["counters"]
+        assert counters["seq.game.escape_searches"] > 0
+
     @pytest.mark.parametrize("name, notion", [
         ("rel-then-na-write", "advanced"), ("na-reorder-same-loc", "none")])
     def test_game_states_counted_once_per_game(self, name, notion):

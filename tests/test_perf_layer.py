@@ -21,8 +21,10 @@ from repro import obs, runner
 from repro.cli import main
 from repro.lang import parse
 from repro.lang.interp import WhileThread
-from repro.litmus import EXTENDED_CASES
+from repro.litmus import EXTENDED_CASES, case_by_name
+from repro.litmus.generator import ProgramGenerator
 from repro.obs.metrics import MetricsRegistry
+from repro.opt import Optimizer
 from repro.psna import (
     CertCache,
     KeyCache,
@@ -40,7 +42,7 @@ from repro.psna import (
 )
 from repro.seq import refinement
 from repro.seq.machine import seq_steps
-from repro.seq.refinement import check_transformation
+from repro.seq.refinement import Limits, check_transformation
 
 CACHED = PsConfig(promise_budget=1)
 UNCACHED = replace(CACHED, enable_cert_cache=False, enable_key_cache=False)
@@ -163,13 +165,51 @@ class TestCacheTransparency:
             assert cached.complete == plain.complete
             assert plain.cert_cache_hits == plain.key_cache_hits == 0
 
+    @staticmethod
+    def _seq_game(source, target, **kwargs):
+        """What a check reports: verdict, bounds and counterexamples.
+        ``caching=False`` plays the reference game: every escape search
+        runs, where the cached game reads the prune off the frontier."""
+        verdict = check_transformation(source, target, **kwargs)
+        return (verdict.valid, verdict.notion, verdict.complete,
+                verdict.game_states, verdict.incomplete_reasons,
+                [repr(v.counterexample) for v in (verdict.simple,
+                                                  verdict.advanced)
+                 if v is not None])
+
     @pytest.mark.parametrize(
         "case", EXTENDED_CASES, ids=lambda case: case.name)
     def test_seq_verdicts_identical(self, case):
-        cached = check_transformation(case.source, case.target, caching=True)
-        plain = check_transformation(case.source, case.target, caching=False)
-        assert (cached.valid, cached.notion) == (plain.valid, plain.notion)
-        assert cached.complete == plain.complete
+        assert self._seq_game(case.source, case.target, caching=True) \
+            == self._seq_game(case.source, case.target, caching=False)
+
+    def test_seq_generated_pairs_identical(self):
+        """Seeded 3–4 statement programs against their optimized form
+        (valid) and against another program (mostly invalid)."""
+        valid = []
+        for seed in range(12):
+            generator = ProgramGenerator(seed=seed)
+            source = generator.straightline(3 + seed % 2)
+            other = generator.straightline(3 + seed % 2)
+            for target in (Optimizer().optimize(source).optimized, other):
+                cached = self._seq_game(source, target, caching=True)
+                assert cached == self._seq_game(source, target,
+                                                caching=False)
+                valid.append(cached[0])
+        assert True in valid and False in valid
+
+    def test_seq_truncated_closure_identical(self):
+        """Once a closure truncates, the frontier no longer decides the
+        beh-failure prune and the cached game searches escapes again."""
+        case = case_by_name("na-read-then-acq")
+        limits = Limits(max_closure_states=1)
+        with obs.session() as session:
+            cached = self._seq_game(case.source, case.target, limits=limits)
+        assert "closure-states" in cached[4]
+        counters = session.metrics.snapshot()["counters"]
+        assert counters["seq.game.escape_searches"] > 0
+        assert cached == self._seq_game(case.source, case.target,
+                                        limits=limits, caching=False)
 
     def test_promise_heavy_exploration_actually_hits_the_cert_cache(self):
         lb = [parse("a := x_rlx; y_rlx := a; return a;"),

@@ -7,7 +7,8 @@ asserts that every answer is the original verdict or a miss — never a
 different value:
 
 * truncation at every byte offset of a segment;
-* death between the temp write and the rename;
+* death between the temp write and the rename, whose orphan temp file
+  the next compaction reaps (and a live writer's, which it leaves);
 * death mid-compaction, after the merged segment is published;
 * two handles appending and compacting at once, in one process and
   across spawned processes;
@@ -187,12 +188,17 @@ def test_truncation_at_every_byte(view, tmp_path):
             assert present(view, handle, keys) == complete, cut
 
 
+def temps(view, directory):
+    return [name for name in os.listdir(directory)
+            if name.startswith(view.prefix) and name.endswith(".tmp")]
+
+
 @each_view
 @pytest.mark.parametrize("phase", ["segment", "compaction"])
 def test_death_between_temp_write_and_rename(view, phase, tmp_path,
                                              monkeypatch):
     """The earlier generation stays intact; the orphan temp file is
-    ignored."""
+    ignored, and the next compaction reaps it."""
     directory = str(tmp_path / "store")
     earlier = [key(g) for g in range(
         1 if phase == "segment" else COMPACT_SEGMENTS)]
@@ -208,8 +214,7 @@ def test_death_between_temp_write_and_rename(view, phase, tmp_path,
         view.close(handle)
     monkeypatch.undo()
     del handle
-    assert [name for name in os.listdir(directory)
-            if name.startswith(view.prefix) and name.endswith(".tmp")]
+    assert temps(view, directory)
     fresh = view.open(directory)
     found = present(view, fresh, earlier + [doomed])
     if phase == "segment":
@@ -218,6 +223,49 @@ def test_death_between_temp_write_and_rename(view, phase, tmp_path,
     else:
         assert found == set(earlier + [doomed])
         assert len(segments(view, directory)) == len(earlier) + 1
+    fresh._log.compact()
+    assert temps(view, directory) == []
+    assert present(view, view.open(directory), earlier + [doomed]) == found
+
+
+class _HookedOs:
+    """The segment log's ``os`` with the call ``name`` routed to
+    ``hook``."""
+
+    def __init__(self, name, hook):
+        self._name, self._hook = name, hook
+
+    def __getattr__(self, attr):
+        return self._hook if attr == self._name else getattr(os, attr)
+
+
+@each_view
+def test_live_writers_temp_file_survives_compaction(view, tmp_path,
+                                                    monkeypatch):
+    """A peer compacting while a writer is between its temp write and
+    the rename leaves the temp file alone."""
+    directory = str(tmp_path / "store")
+    earlier = [key(g) for g in range(3)]
+    for k in earlier:
+        write_generation(view, directory, [k])
+    peer = view.open(directory)
+    survived = []
+
+    def compact_then_replace(src, dst):
+        monkeypatch.undo()  # the peer's own rename is a real one
+        assert temps(view, directory)
+        peer._log.compact()
+        survived.append(os.path.exists(src))
+        os.replace(src, dst)
+
+    monkeypatch.setattr(segmentlog, "os",
+                        _HookedOs("replace", compact_then_replace))
+    late = key(99)
+    write_generation(view, directory, [late])
+    assert survived == [True]
+    assert len(segments(view, directory)) == 2  # merged + the writer's
+    assert present(view, view.open(directory), earlier + [late]) \
+        == set(earlier + [late])
 
 
 @each_view

@@ -14,9 +14,13 @@ Three layers under test:
 
 import io
 import json
+import multiprocessing
+import os
 import re
+import signal
 import socket
 import statistics
+import sys
 import threading
 import time
 import urllib.error
@@ -24,6 +28,7 @@ import urllib.request
 
 import pytest
 
+from repro import runner
 from repro.cli import main as cli_main
 from repro.litmus import ALL_TRANSFORMATION_CASES
 from repro.obs.events import validate_events
@@ -282,6 +287,116 @@ class TestCertReuse:
         for spec in self.SPECS:
             assert self._run(svc, spec) == self._store_off(spec)
         assert cert_store.hits > 0  # shipped back from the workers
+
+
+def _until(predicate, timeout: float) -> bool:
+    """Poll ``predicate`` until it holds or ``timeout`` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+class TestWorkers:
+    """The ``jobs > 1`` service: one spawn worker per drainer thread."""
+
+    #: Load buffering run twice per thread, with two promises: an
+    #: exploration of a few seconds.
+    LONG = {"kind": "explore", "promises": 2,
+            "programs": ["a := x_rlx; y_rlx := a; c := x_rlx; "
+                         "y_rlx := c; return a;",
+                         "b := y_rlx; x_rlx := 1; d := y_rlx; "
+                         "x_rlx := 2; return b;"]}
+
+    @staticmethod
+    def _kill(processes) -> None:
+        for process in processes:
+            try:
+                os.kill(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+    def test_dead_worker_fails_its_job_and_is_replaced(self, tmp_path):
+        """Killing every worker mid-job fails that job at once, naming
+        the exit code; workers that die idle fail nothing; the service
+        still runs jobs and shuts down with no process left."""
+        before = set(multiprocessing.active_children())
+
+        def children():
+            return set(multiprocessing.active_children()) - before
+
+        svc = VerificationService(jobs=2,
+                                  store_dir=str(tmp_path / "verdicts"))
+        try:
+            job, _ = svc.submit(self.LONG)
+            assert _until(lambda: job.state == "running", 60.0)
+            self._kill(children())
+            assert _until(lambda: job.state == "failed", 5.0), job.state
+            failed = [json.loads(line) for line in job.event_lines
+                      if '"job-failed"' in line]
+            assert len(failed) == 1
+            assert "worker exited with code -9" in failed[0]["error"]
+
+            idle = children()
+            self._kill(idle)
+            assert _until(lambda: not any(p.is_alive() for p in idle),
+                          10.0)
+            after, _ = svc.submit(VALIDATE_SPEC)
+            assert svc.wait(after.id, timeout=120.0).state == "done"
+
+            stopper = threading.Thread(
+                target=svc.shutdown, kwargs={"drain": True, "timeout": 30.0},
+                daemon=True)
+            stopper.start()
+            stopper.join(timeout=60.0)
+            assert not stopper.is_alive(), "shutdown did not return"
+            assert children() == set()
+        finally:
+            self._kill(children())
+
+    def test_completions_on_several_threads_lose_nothing(self, tmp_path):
+        """Three workers (more than CI's two cores) finish jobs on three
+        drainer threads at once, under a tiny switch interval: every
+        shared count sees every job."""
+        heartbeat = runner.Heartbeat("stress", interval_s=3600.0,
+                                     stream=io.StringIO())
+        svc = VerificationService(jobs=3,
+                                  store_dir=str(tmp_path / "verdicts"),
+                                  heartbeat=heartbeat)
+        specs = [{"kind": "validate",
+                  "source": f"x_na := {v}; x_na := {v + 1}; return 0;",
+                  "target": f"x_na := {v + 1}; return 0;"}
+                 for v in range(60)]
+        states = []
+
+        def client_thread(part):
+            for spec in part:
+                job, _ = svc.submit(spec)
+                states.append(svc.wait(job.id, timeout=120.0).state)
+
+        clients = [threading.Thread(target=client_thread,
+                                    args=(specs[i::4],))
+                   for i in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=240.0)
+        finally:
+            sys.setswitchinterval(switch)
+            # Shutdown joins the drainers, so every completion has run.
+            svc.shutdown(drain=True, timeout=60.0)
+        assert not any(thread.is_alive() for thread in clients)
+        assert states == ["done"] * len(specs)
+        counters = svc.metrics.snapshot()["counters"]
+        assert svc.executed == len(specs)
+        assert counters["jobs.executed"] == len(specs)
+        assert svc.store.stats()["writes"] == len(specs)
+        assert heartbeat.done == len(specs)
 
 
 class TestHTTPFrontEnd:
