@@ -158,10 +158,13 @@ class _AuditLedger:
 class _Worker:
     """One spawn worker running :func:`repro.runner._serve_worker` and
     the service's end of its duplex pipe.  Its initializer is
-    ``runner._worker_init`` as of the moment the worker starts."""
+    ``runner._worker_init`` as of the moment the worker starts, with
+    the directory of the process's cert store."""
 
-    def __init__(self, store_dir: Optional[str]) -> None:
+    def __init__(self) -> None:
         context = get_context("spawn")
+        parent = certstore.active()
+        store_dir = parent.directory if parent is not None else None
         self.conn, child = context.Pipe(duplex=True)
         self.process = context.Process(
             target=runner._serve_worker,
@@ -296,7 +299,7 @@ class VerificationService:
         self._workers_lock = threading.Lock()
         slots: list[Optional[int]] = [None]
         if self.jobs > 1:
-            self._workers = [self._spawn_worker() for _ in range(self.jobs)]
+            self._workers = [_Worker() for _ in range(self.jobs)]
             slots = list(range(self.jobs))
         self._drainers = [
             threading.Thread(target=self._drain, args=(slot,),
@@ -525,11 +528,6 @@ class VerificationService:
             return
         self._complete_job(job, stream, payload, shipment)
 
-    @staticmethod
-    def _spawn_worker() -> _Worker:
-        parent = certstore.active()
-        return _Worker(parent.directory if parent is not None else None)
-
     def _ready_worker(self, slot: int) -> Optional[_Worker]:
         """The slot's worker once it is up, replaced first if it has
         died; None once shutdown has stopped the workers."""
@@ -539,7 +537,7 @@ class VerificationService:
                     return None
                 worker = self._workers[slot]
                 if not worker.process.is_alive():
-                    worker = self._workers[slot] = self._spawn_worker()
+                    worker = self._workers[slot] = _Worker()
             if worker.wait_ready():
                 return worker
 
